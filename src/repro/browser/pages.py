@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from repro.browser.css import Stylesheet
+from repro.browser.css import StyleMatchStats, Stylesheet, match_styles
 from repro.browser.dom import DomNode, PageFeatures, census
 from repro.browser.html import parse_html
 
@@ -58,7 +58,13 @@ class PageProfile:
 
 @dataclass(frozen=True)
 class WebPage:
-    """One generated page: markup, stylesheet and cached census."""
+    """One generated page: markup, stylesheet and cached census.
+
+    A page is immutable once :func:`build_page` returns it: nothing
+    edits its DOM or stylesheet afterwards.  That is what lets
+    :attr:`style_stats` and :attr:`image_count` be computed once per
+    page and shared by every simulated load of it.
+    """
 
     profile: PageProfile
     html: str
@@ -70,6 +76,16 @@ class WebPage:
     def name(self) -> str:
         """Page name."""
         return self.profile.name
+
+    @cached_property
+    def style_stats(self) -> StyleMatchStats:
+        """Selector-matching work of a full style pass (computed once)."""
+        return match_styles(self.dom, self.stylesheet)
+
+    @cached_property
+    def image_count(self) -> int:
+        """``<img>`` elements in the page (counted once)."""
+        return len(self.dom.find_all("img"))
 
 
 _CLASS_POOL = (
@@ -225,22 +241,21 @@ HIGH_INTENSITY_PAGES: tuple[str, ...] = (
 )
 
 
-@lru_cache(maxsize=None)
 def alexa_pages() -> tuple[WebPage, ...]:
-    """All 18 generated pages (cached; generation is deterministic)."""
-    return tuple(build_page(profile) for profile in _PROFILES)
+    """All 18 generated pages, as the :func:`page_by_name` objects."""
+    return tuple(page_by_name(profile.name) for profile in _PROFILES)
 
 
 @lru_cache(maxsize=None)
 def page_by_name(name: str) -> WebPage:
-    """Look up one generated page by name.
+    """Look up one generated page by name, generating only that page.
 
     Raises:
         KeyError: If the name is not one of the 18 pages.
     """
-    for page in alexa_pages():
-        if page.name == name:
-            return page
+    for profile in _PROFILES:
+        if profile.name == name:
+            return build_page(profile)
     raise KeyError(f"unknown page: {name!r}")
 
 

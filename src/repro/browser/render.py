@@ -8,9 +8,10 @@ into a render tree, then runs layout and paint.  We model that as four
 are derived from the *parsed document itself*:
 
 * **parse** -- proportional to the markup size (DOM nodes built).
-* **style** -- proportional to the selector-matching work measured by
-  :func:`repro.browser.css.match_styles` (elements x rules candidate
-  checks plus applied declarations).
+* **style** -- proportional to the selector-matching work counted by
+  :func:`repro.browser.css.match_styles` (the modelled elements x rules
+  candidate checks plus applied declarations), computed once per page
+  (:attr:`repro.browser.pages.WebPage.style_stats`).
 * **layout** -- proportional to element count, with extra weight for
   ``div`` blocks (box-tree construction and reflow).
 * **paint** -- proportional to element count and image count, with the
@@ -26,10 +27,9 @@ interference -- the behaviour Figs. 1 and 2 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.browser.css import StyleMatchStats, match_styles
-from repro.browser.pages import WebPage, page_by_name
+from repro.browser.css import StyleMatchStats
+from repro.browser.pages import WebPage
 from repro.sim.task import WorkPhase
 
 #: Megabyte, for working-set arithmetic.
@@ -101,10 +101,10 @@ def build_render_workload(
         page's measured structure.
     """
     costs = cost_model or RenderCostModel()
-    stats = match_styles(page.dom, page.stylesheet)
+    stats = page.style_stats
     features = page.features
     media = page.profile.media_weight
-    images = len(page.dom.find_all("img"))
+    images = page.image_count
 
     parse_instr = costs.parse_per_node * features.dom_nodes
     style_instr = (
@@ -163,9 +163,3 @@ def build_render_workload(
         ),
     )
     return RenderWorkload(page_name=page.name, phases=phases, style_stats=stats)
-
-
-@lru_cache(maxsize=None)
-def render_workload_for(page_name: str) -> RenderWorkload:
-    """Cached default-cost workload for one of the 18 named pages."""
-    return build_render_workload(page_by_name(page_name))

@@ -23,6 +23,7 @@ same infeasible-fallback answer the scalar sweep would have computed.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -49,6 +50,11 @@ class DecisionRequest:
         corunner_utilization: Co-runner core utilization in ``[0, 1]``.
         temperature_c: Package temperature.
         deadline_s: QoS deadline for the page load.
+
+    Raises:
+        ValueError: If the deadline is not positive and finite, the MPKI
+            not non-negative and finite, the utilization not in
+            ``[0, 1]`` (NaN included), or the temperature not finite.
     """
 
     device_id: str
@@ -59,12 +65,14 @@ class DecisionRequest:
     deadline_s: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
-            raise ValueError("deadline must be positive")
-        if self.corunner_mpki < 0:
-            raise ValueError("MPKI must be non-negative")
+        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
+            raise ValueError("deadline must be positive and finite")
+        if not (math.isfinite(self.corunner_mpki) and self.corunner_mpki >= 0):
+            raise ValueError("MPKI must be non-negative and finite")
         if not 0.0 <= self.corunner_utilization <= 1.0:
             raise ValueError("co-runner utilization must lie in [0, 1]")
+        if not math.isfinite(self.temperature_c):
+            raise ValueError("temperature must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """CSS selector matching tests."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.browser.css import (
     SimpleSelector,
+    StyleMatchStats,
+    StyleRule,
     Stylesheet,
     match_styles,
     parse_selector,
@@ -116,3 +120,101 @@ class TestMatchStyles:
 
     def test_stylesheet_len(self):
         assert len(Stylesheet.from_selectors(["a", "p"])) == 2
+
+
+def naive_match_styles(root, sheet):
+    """The O(elements x rules) pass: every rule against every element."""
+    elements = checks = matches = applied = 0
+
+    def visit(node, ancestors):
+        nonlocal elements, checks, matches, applied
+        if not node.is_text and not node.tag.startswith("#"):
+            elements += 1
+            for rule in sheet.rules:
+                checks += 1
+                if rule.selector.matches(node, ancestors):
+                    matches += 1
+                    applied += rule.declarations
+            ancestors = ancestors + [node]
+        for child in node.children:
+            visit(child, ancestors)
+
+    visit(root, [])
+    return StyleMatchStats(
+        elements=elements,
+        candidate_checks=checks,
+        matches=matches,
+        applied_declarations=applied,
+    )
+
+
+_TAGS = ("div", "a", "p", "section")
+_CLASSES = ("a", "b", "card")
+_IDS = ("x", "main")
+
+
+def _element_markup(tag, element_id, classes, children):
+    attributes = ""
+    if element_id is not None:
+        attributes += f' id="{element_id}"'
+    if classes is not None:
+        attributes += f' class="{" ".join(classes)}"'
+    return f"<{tag}{attributes}>{''.join(children)}</{tag}>"
+
+
+_text = st.sampled_from(("t", "u v"))
+_markup = st.recursive(
+    _text,
+    lambda children: st.builds(
+        _element_markup,
+        st.sampled_from(_TAGS),
+        st.none() | st.sampled_from(_IDS),
+        # Absent, empty, or up to three classes with repeats ("a a").
+        st.none() | st.lists(st.sampled_from(_CLASSES), max_size=3),
+        st.lists(children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _simple_chunk(tag, classes, element_id):
+    chunk = (tag or "") + "".join(f".{name}" for name in classes)
+    if element_id is not None:
+        chunk += f"#{element_id}"
+    # "." parses to a key with no tag, class or id: a universal key.
+    return chunk or "."
+
+
+_selector = st.lists(
+    st.builds(
+        _simple_chunk,
+        st.none() | st.sampled_from(_TAGS),
+        st.lists(st.sampled_from(_CLASSES), max_size=2),
+        st.none() | st.sampled_from(_IDS),
+    ),
+    min_size=1,
+    max_size=3,
+).map(" ".join)
+_rules = st.lists(
+    st.tuples(_selector, st.integers(min_value=1, max_value=6)), max_size=10
+)
+
+
+class TestBucketedMatching:
+    @given(
+        st.lists(_markup, min_size=1, max_size=3).map("".join),
+        _rules,
+    )
+    @example(markup='<div class="a a"><p class="a">t</p></div>', rules=[(".a", 2)])
+    @example(markup="<div><p>t</p></div>", rules=[])
+    @example(markup='<div id="x"><a class="b a">t</a></div>', rules=[("#x .a.b", 3)])
+    @example(markup="<div><p>t</p></div>", rules=[("div .", 2), (".", 1)])
+    def test_equals_the_naive_pass(self, markup, rules):
+        sheet = Stylesheet(
+            rules=[
+                StyleRule(selector=parse_selector(text), declarations=declarations)
+                for text, declarations in rules
+            ]
+        )
+        root = parse_html(markup)
+        assert match_styles(root, sheet) == naive_match_styles(root, sheet)

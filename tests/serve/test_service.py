@@ -160,6 +160,15 @@ class TestAdmission:
             _request(mpki=-1.0)
         with pytest.raises(ValueError, match="utilization"):
             _request(util=1.5)
+        with pytest.raises(ValueError, match="utilization"):
+            _request(util=math.nan)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="MPKI"):
+                _request(mpki=bad)
+            with pytest.raises(ValueError, match="temperature"):
+                _request(temp=bad)
+            with pytest.raises(ValueError, match="deadline"):
+                _request(deadline=bad)
 
 
 class TestConfigValidation:
