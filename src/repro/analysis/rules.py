@@ -300,7 +300,7 @@ class WallClockRule(Rule):
 
     #: Benchmark/telemetry modules inside the restricted trees that
     #: legitimately time themselves.
-    allowlist = ("sim/bench.py", "sim/fleet_bench.py")
+    allowlist = ("sim/bench.py",)
 
     _banned = {
         "time.time",
@@ -354,8 +354,8 @@ class BlasReductionRule(Rule):
     (and can differ between BLAS builds).  Modules tagged
     ``# repro: bit-exact`` are exactly the ones whose outputs must
     reproduce a scalar reference bit for bit, so they must use
-    ``soc.numerics.accumulate_rows`` / ``np.cumsum`` or the per-row
-    pairwise helpers (``RegressionModel.predict_rows``) instead.
+    ``np.cumsum`` / ``np.add.accumulate`` or the per-row pairwise
+    helpers (``RegressionModel.predict_rows``) instead.
     """
 
     rule_id = "R003"
@@ -384,7 +384,7 @@ class BlasReductionRule(Rule):
     _banned_methods = {"sum", "dot", "matmul", "mean", "trace"}
 
     _hint = (
-        "; use soc.numerics.accumulate_rows / np.cumsum (strict "
+        "; use np.cumsum / np.add.accumulate (strict "
         "left-to-right) or RegressionModel.predict_rows (fixed per-row "
         "pairwise order) to keep bit-identity with the scalar reference"
     )

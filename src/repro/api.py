@@ -213,10 +213,10 @@ def make_fleet_engine(
     Builds a deterministic heterogeneous device population
     (:func:`repro.sim.fleet_engine.heterogeneous_fleet`: pages,
     co-runners, operating points, governors, ambient conditions and
-    step sizes all vary across rows) and wraps it in the
-    struct-of-arrays lockstep engine.  ``run()`` returns one
-    :class:`~repro.sim.engine.RunResult` per row, each bit-identical
-    to simulating that device alone.
+    step sizes all vary across rows) and wraps it in the fleet
+    engine, which runs every row through the regime-stepped fast path.
+    ``run()`` returns one :class:`~repro.sim.engine.RunResult` per row,
+    each bit-identical to simulating that device alone.
 
     Args:
         rows: Fleet size.

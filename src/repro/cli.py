@@ -422,47 +422,6 @@ def _cmd_sim_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleetsim_bench(args: argparse.Namespace) -> int:
-    from repro.sim.fleet_bench import (
-        SMOKE_ROW_COUNTS,
-        STANDARD_ROW_COUNTS,
-        run_fleetsim_bench,
-    )
-
-    if args.rows:
-        row_counts = tuple(args.rows)
-    else:
-        row_counts = SMOKE_ROW_COUNTS if args.smoke else STANDARD_ROW_COUNTS
-    record = run_fleetsim_bench(
-        row_counts=row_counts,
-        repeats=args.repeats,
-        seed=args.seed,
-        output_path=args.output,
-    )
-    print(f"{'rows':>6} {'per-device':>12} {'fleet':>12} "
-          f"{'rows/s':>9} {'speedup':>8}")
-    for row in record["row_counts"]:
-        print(
-            f"{row['rows']:>6} {row['solo_ms']:>10.1f}ms "
-            f"{row['fleet_ms']:>10.1f}ms "
-            f"{row['fleet_rows_per_s']:>9.1f} {row['speedup']:>7.2f}x"
-        )
-    peak = record["peak"]
-    print(
-        f"peak        : {peak['rows']} rows at "
-        f"{peak['fleet_rows_per_s']:.1f} rows/s, {peak['speedup']:.2f}x "
-        f"over per-device loops (field-exact equivalence checked)"
-    )
-    if record["envelope"].get("degraded_host"):
-        print(
-            "note        : single-CPU host (degraded_host) -- speedup "
-            "bars do not apply to this record"
-        )
-    if args.output:
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_swap_bench(args: argparse.Namespace) -> int:
     from repro.learn.bench import run_swap_bench
     from repro.serve.loadgen import LoadgenConfig
@@ -825,22 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_bench_flags(sim_parser, "BENCH_engine.json", repeats_default=5)
     sim_parser.set_defaults(func=_cmd_sim_bench)
-
-    fleetsim_parser = commands.add_parser(
-        "fleetsim-bench",
-        help="benchmark the struct-of-arrays fleet engine vs "
-        "per-device loops",
-    )
-    fleetsim_parser.add_argument(
-        "--rows", type=int, nargs="+", default=None, metavar="N",
-        help="fleet sizes to sweep (default: 64 256, or 16 with --smoke)",
-    )
-    fleetsim_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="heterogeneous fleet assignment seed",
-    )
-    _add_bench_flags(fleetsim_parser, "BENCH_fleetsim.json", repeats_default=3)
-    fleetsim_parser.set_defaults(func=_cmd_fleetsim_bench)
 
     swap_parser = commands.add_parser(
         "swap-bench",

@@ -22,32 +22,12 @@ paper frames them in Section V-C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import Protocol
 
 from repro.browser.dom import PageFeatures
-from repro.core.ppw import FrequencyPrediction, ceil_state_rows, find_fd, find_fe
+from repro.core.ppw import FrequencyPrediction, find_fd, find_fe
 from repro.sim.governor import Governor, RunContext
 from repro.soc.counters import CounterSample
-
-
-def _decision_ladder(
-    contexts: Sequence[RunContext],
-) -> tuple[np.ndarray, object]:
-    """Shared DVFS ladder of one batched decision group.
-
-    Batched decisions round every row's target on one ladder, so all
-    rows of a group must run the same platform; the fleet engine groups
-    rows by spec before calling ``decide_rows``.
-    """
-    if not contexts:
-        raise ValueError("need at least one decision row")
-    spec = contexts[0].spec
-    for context in contexts:
-        if context.spec is not spec:
-            raise ValueError("batched decisions need one shared platform spec")
-    return np.asarray(spec.frequencies_hz, dtype=float), spec
 
 
 class PredictionProvider(Protocol):
@@ -157,50 +137,6 @@ class InteractiveGovernor(Governor):
             target = max(target, self._floor_freq_hz)
         return target
 
-    @classmethod
-    def decide_rows(
-        cls,
-        governors: Sequence["InteractiveGovernor"],
-        samples: Sequence[CounterSample],
-        contexts: Sequence[RunContext],
-    ) -> list[float]:
-        """Batched :meth:`decide` across many rows in one kernel pass.
-
-        Bit-identical to calling each governor's ``decide`` in turn:
-        the proportional target is the same two elementwise float ops,
-        the hispeed jump is a pure comparison, and the round-up to an
-        available step goes through
-        :func:`repro.core.ppw.ceil_state_rows` (the ``bisect_left``
-        comparisons, vectorized).  Only the ramp-down dwell floor --
-        three comparisons of per-governor mutable state -- stays
-        scalar.  The fleet engine calls this at interval boundaries
-        instead of N scalar ``decide`` loops.
-        """
-        ladder, _spec = _decision_ladder(contexts)
-        loads = np.array([sample.max_utilization() for sample in samples])
-        currents = np.array([sample.freq_hz for sample in samples])
-        hispeed = np.array([governor.hispeed_freq_hz for governor in governors])
-        jump = (loads >= np.array(
-            [governor.go_hispeed_load for governor in governors]
-        )) & (currents < hispeed)
-        proportional = currents * loads / np.array(
-            [governor.target_load for governor in governors]
-        )
-        wanted = np.where(jump, hispeed, proportional)
-        chosen = ladder[ceil_state_rows(ladder, wanted)]
-        targets: list[float] = []
-        for governor, context, current, target in zip(
-            governors, contexts, currents.tolist(), chosen.tolist()
-        ):
-            now = context.elapsed_s
-            if target > current:
-                governor._floor_freq_hz = target
-                governor._floor_until_s = now + governor.min_sample_time_s
-            elif now < governor._floor_until_s:
-                target = max(target, governor._floor_freq_hz)
-            targets.append(target)
-        return targets
-
 
 @dataclass
 class OndemandGovernor(Governor):
@@ -231,32 +167,6 @@ class OndemandGovernor(Governor):
         current = sample.freq_hz
         target = current * load / self.up_threshold
         return spec.ceil_state(target).freq_hz
-
-    @classmethod
-    def decide_rows(
-        cls,
-        governors: Sequence["OndemandGovernor"],
-        samples: Sequence[CounterSample],
-        contexts: Sequence[RunContext],
-    ) -> list[float]:
-        """Batched :meth:`decide`, bit-identical to the scalar loop.
-
-        Stateless, so the whole decision vectorizes: the over-threshold
-        jump to fmax is a comparison, the scale-down target the same
-        elementwise float ops as the scalar path, rounded up through
-        :func:`repro.core.ppw.ceil_state_rows`.
-        """
-        ladder, spec = _decision_ladder(contexts)
-        loads = np.array([sample.max_utilization() for sample in samples])
-        currents = np.array([sample.freq_hz for sample in samples])
-        thresholds = np.array(
-            [governor.up_threshold for governor in governors]
-        )
-        scaled = ladder[ceil_state_rows(ladder, currents * loads / thresholds)]
-        targets = np.where(
-            loads >= thresholds, spec.max_state.freq_hz, scaled
-        )
-        return targets.tolist()
 
 
 # ----------------------------------------------------------------------

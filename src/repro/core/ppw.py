@@ -145,38 +145,6 @@ def select_fopt_rows(
     return choice
 
 
-def ceil_state_rows(
-    frequencies_hz: np.ndarray, targets_hz: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``PlatformSpec.ceil_state`` over many target rows.
-
-    The second member of the rows-kernel family beside
-    :func:`select_fopt_rows`: where that one batches Algorithm 1's
-    table argmax, this batches the utilization governors' round-up to
-    an available DVFS step, so a fleet's interval-boundary decisions
-    can be taken in one pass.  ``np.searchsorted(..., side="left")``
-    performs exactly ``bisect.bisect_left``'s comparisons -- no float
-    arithmetic happens at all -- so each row's index is bit-identical
-    to the scalar ``ceil_state`` call, including the saturation of
-    above-maximum requests at the top step.
-
-    Args:
-        frequencies_hz: Available frequencies, ascending (the
-            platform's ``frequencies_hz`` ladder), shape (freqs,).
-        targets_hz: Requested frequencies, shape (rows,).
-
-    Returns:
-        Per-row index into ``frequencies_hz`` of the lowest frequency
-        ``>=`` the target (the last index when no frequency is).
-    """
-    ladder = np.asarray(frequencies_hz, dtype=float)
-    if ladder.ndim != 1 or ladder.shape[0] == 0:
-        raise ValueError("need a non-empty 1-D frequency ladder")
-    targets = np.asarray(targets_hz, dtype=float)
-    indices = np.searchsorted(ladder, targets, side="left")
-    return np.minimum(indices, ladder.shape[0] - 1)
-
-
 def select_fopt(
     predictions: Sequence[FrequencyPrediction], deadline_s: float
 ) -> FrequencyPrediction:

@@ -20,7 +20,11 @@ Records land under ``<root>/<CALIBRATION_FINGERPRINT>/shard-NNNN.jsonl``:
   ``O_APPEND`` JSONL safe without locks);
 * **fsync batching** -- a writer buffers ``batch_size`` encoded lines
   and issues one ``write + flush + fsync`` per batch, amortizing the
-  durability cost across records instead of paying it per decision.
+  durability cost across records instead of paying it per decision;
+* **torn tails** -- a crash mid-batch can leave a shard's last line
+  cut short.  Readers skip such a final fragment, and the next writer
+  on the shard truncates it away before appending, so the fragment
+  never swallows a new record.
 
 JSON floats round-trip exactly (``repr`` produces the shortest string
 that parses back to the same double), so a replayed record reproduces
@@ -97,11 +101,38 @@ def decision_record(
     }
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate a shard back to its last complete line.
+
+    A shard whose last byte is not a newline ends in the fragment of a
+    write a crash cut short; appending after it would glue the next
+    record onto the fragment.  A missing or empty shard is left alone.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        handle.truncate(
+            sum(len(line) for line in handle if line.endswith(b"\n"))
+        )
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class TelemetryWriter:
     """Single-shard append handle with fsync batching.
 
     Not thread-safe by design: one writer per shard partition is the
-    contract that keeps the store lock-free.
+    contract that keeps the store lock-free.  Opening a shard drops a
+    torn last line left by a crashed writer.
     """
 
     def __init__(self, path: Path, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
@@ -112,6 +143,7 @@ class TelemetryWriter:
         self.records_written = 0
         self.sync_batches = 0
         self._buffer: list[str] = []
+        _drop_torn_tail(path)
         self._file = open(path, "a", encoding="utf-8")
 
     def append(self, record: dict[str, Any]) -> None:
@@ -184,13 +216,27 @@ class TelemetryStore:
         return sorted(self.partition.glob("shard-*.jsonl"))
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
-        """Every stored record, shard-major then append order."""
+        """Every stored record, shard-major then append order.
+
+        An undecodable last line of a shard is a torn write and is
+        skipped.  An undecodable line with records after it is
+        corruption and raises :class:`json.JSONDecodeError`.
+        """
         for path in self.shard_files():
             with open(path, encoding="utf-8") as handle:
+                torn: json.JSONDecodeError | None = None
                 for line in handle:
                     line = line.strip()
-                    if line:
-                        yield json.loads(line)
+                    if not line:
+                        continue
+                    if torn is not None:
+                        raise torn
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as error:
+                        torn = error
+                        continue
+                    yield record
 
     def record_count(self) -> int:
         """Total records across all shard files."""

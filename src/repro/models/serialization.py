@@ -30,6 +30,17 @@ FORMAT = "repro-dora-models"
 FORMAT_VERSION = 1
 
 
+def _require_finite(field: str, values: Any) -> None:
+    """Reject NaN and +-inf in one numeric field of a bundle.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``, so a stored
+    bundle can carry values that would reach the serving kernel's
+    comparisons, where every test against NaN is false.
+    """
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise ValueError(f"model bundle field {field} holds a non-finite value")
+
+
 def _regression_to_dict(model: RegressionModel) -> dict[str, Any]:
     return {
         "surface": model.surface.value,
@@ -58,7 +69,11 @@ def _piecewise_to_dict(surface: PiecewiseSurface) -> dict[str, Any]:
     }
 
 
-def _piecewise_from_dict(data: dict[str, Any]) -> PiecewiseSurface:
+def _piecewise_from_dict(data: dict[str, Any], field: str) -> PiecewiseSurface:
+    for bus_hz, model in data["segments"].items():
+        _require_finite(f"{field}.segments", float(bus_hz))
+        for name in ("coefficients", "means", "scales"):
+            _require_finite(f"{field}.segments[{bus_hz}].{name}", model[name])
     return PiecewiseSurface(
         surface=ResponseSurface(data["surface"]),
         segments={
@@ -97,8 +112,10 @@ def predictor_from_dict(
             checked against the artifact's recorded platform name.
 
     Raises:
-        ValueError: On a foreign or future-version artifact, or a
-            platform mismatch.
+        ValueError: On a foreign or future-version artifact, a
+            platform mismatch, or a NaN or infinite number in any
+            coefficient, mean, scale, leakage parameter, the leakage
+            fit's RMS error or a candidate frequency.
     """
     if data.get("format") != FORMAT:
         raise ValueError("not a repro DORA model artifact")
@@ -113,6 +130,10 @@ def predictor_from_dict(
             f"artifact was trained for {data.get('platform')!r}, "
             f"not {spec.name!r}"
         )
+    _require_finite("leakage.parameters", data["leakage"]["parameters"])
+    _require_finite("leakage.rms_error_w", data["leakage"]["rms_error_w"])
+    candidate_freqs_hz = tuple(data.get("candidate_freqs_hz", ()))
+    _require_finite("candidate_freqs_hz", candidate_freqs_hz)
     leakage = FittedLeakageModel(
         parameters=LeakageParameters(*data["leakage"]["parameters"]),
         rms_error_w=float(data["leakage"]["rms_error_w"]),
@@ -120,13 +141,15 @@ def predictor_from_dict(
     return DoraPredictor(
         spec=spec,
         load_time_model=PiecewiseLoadTimeModel(
-            surfaces=_piecewise_from_dict(data["load_time_model"])
+            surfaces=_piecewise_from_dict(
+                data["load_time_model"], "load_time_model"
+            )
         ),
         power_model=DynamicPowerModel(
-            surfaces=_piecewise_from_dict(data["power_model"])
+            surfaces=_piecewise_from_dict(data["power_model"], "power_model")
         ),
         leakage_model=leakage,
-        candidate_freqs_hz=tuple(data.get("candidate_freqs_hz", ())),
+        candidate_freqs_hz=candidate_freqs_hz,
     )
 
 

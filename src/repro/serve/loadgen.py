@@ -224,7 +224,7 @@ def twin_traces(
 
     The digital-twin counterpart of :func:`harvest_traces`: the same
     recording governor per combo, but every device advances in one
-    :class:`~repro.sim.fleet_engine.FleetEngine` lockstep pass, and
+    :class:`~repro.sim.fleet_engine.FleetEngine` pass, and
     nothing is cached -- each call *is* a fresh fleet simulation.
     Because fleet rows are bit-identical to single-device runs, the
     returned observations equal the harvested path's exactly (asserted
@@ -235,8 +235,8 @@ def twin_traces(
     Pass a dict as ``stage_seconds`` to receive the fleet engine's
     per-stage wall breakdown of the simulation
     (:data:`repro.sim.fleet_engine._STAGES`), so twin-sourced benches
-    can attribute their trace-generation cost to the batched planner's
-    stages.
+    can attribute their trace-generation cost to the engine's bulk
+    regimes and single steps.
     """
     config = config or HarnessConfig()
     combos = tuple(combos) if combos is not None else all_combos()[:6]

@@ -5,8 +5,8 @@
 * :mod:`repro.sim.engine` -- the time-stepped simulator that couples
   tasks, the shared cache, memory contention, power, thermals and a
   frequency governor.
-* :mod:`repro.sim.fleet_engine` -- struct-of-arrays lockstep advance of
-  many heterogeneous device simulations.
+* :mod:`repro.sim.fleet_engine` -- many heterogeneous device
+  simulations, each row run through the engine's fast path.
 * :mod:`repro.sim.trace` -- time-series recording.
 * :mod:`repro.sim.measurement` -- DAQ-like energy integration, PPW, and
   measurement noise.

@@ -56,7 +56,6 @@ from repro.soc.cache import CacheDemand
 from repro.soc.counters import CoreCounters
 from repro.soc.cpu import CpiInputs, effective_cpi
 from repro.soc.device import Device
-from repro.soc.leakage import LeakageParameters
 from repro.soc.power import CoreActivity
 
 #: Regimes shorter than this run through the single-step path (the
@@ -349,13 +348,6 @@ class _LoopState:
     last_phase: dict[str, int]
     equilibrium_memo: dict
     regime_templates: dict
-    #: Fleet-level template index shared by every row of one
-    #: :class:`~repro.sim.fleet_engine.FleetEngine` run (``None`` for
-    #: solo runs).  Sits between the per-run memo and the global LRU
-    #: cache: rows with identical ``(power model, cache, state,
-    #: phases)`` keys build one template instead of one each, and the
-    #: fleet's working set cannot be evicted mid-run.
-    shared_templates: dict | None
     #: Reusable planning-table scratch, keyed by row count.  Regimes
     #: overwrite every cell they read, so nothing carries over.
     series_buffers: dict
@@ -390,45 +382,12 @@ class _RegimeTemplate:
     #: ``increments`` as a column vector, ready to broadcast into the
     #: planning table without a per-regime reshape.
     increments_col: np.ndarray
-    #: ``increments`` as a plain list, ready to extend a batched
-    #: planning group's flat increment vector without a per-epoch
-    #: ``tolist`` round trip.
-    increments_list: list[float]
     core_dynamic_w: float
     memory_w: float
     non_leakage_w: float
     rest_of_device_w: float
     leak_power_of_c: object
-    #: ``(k1v, slope, gate)`` when the device's leakage is the stock
-    #: Equation 5 model -- lets the fleet engine's no-series thermal
-    #: pass inline the leakage term (bit-identical to the closure).
-    #: ``None`` for custom leakage models, which fall back to calling
-    #: the closure per step.
-    leak_constants: tuple[float, float, float] | None
     per_core_power: dict[int, float]
-
-
-@dataclass
-class _RegimePlan:
-    """One validated bulk regime, ready to execute.
-
-    Produced by :meth:`Engine._plan_regime`, consumed by
-    :meth:`Engine._run_regime` (scalar thermal integration) or by
-    :class:`repro.sim.fleet_engine.FleetEngine` (which integrates many
-    rows' thermal recurrences in one vectorized sweep).  ``series`` is
-    a view into the loop's scratch buffer: it stays valid only until
-    the next plan on the same loop, so a plan must be executed before
-    its row plans again.
-    """
-
-    state: object
-    running: list[Task]
-    template: _RegimeTemplate
-    series: np.ndarray
-    n: int
-    last: list[float]
-    decision_due: bool
-    clamped: bool
 
 
 @dataclass
@@ -484,7 +443,6 @@ class Engine:
             # active phases); solve it once per combination and reuse.
             equilibrium_memo={},
             regime_templates={},
-            shared_templates=None,
             series_buffers={},
             core_plan=core_plan,
             gating_ids=set(core_plan.gating_task_ids),
@@ -553,13 +511,8 @@ class Engine:
         loop.equilibrium_memo[memo_key] = equilibrium
         return equilibrium
 
-    def _decision_sample(self, loop: _LoopState, state):
-        """Drain the counter window for one governor decision point.
-
-        Also stamps the run context's clock -- after this call the
-        governor (scalar ``decide`` or a batched ``decide_rows``) sees
-        exactly the state the reference loop's decision would.
-        """
+    def _decide(self, loop: _LoopState, state) -> None:
+        """One governor decision point (shared by both paths)."""
         device = self.device
         sample = device.counters.drain(
             freq_hz=state.freq_hz,
@@ -570,19 +523,10 @@ class Engine:
             },
         )
         self.context.elapsed_s = loop.time_s
-        return sample
-
-    def _apply_decision(self, loop: _LoopState, target: float) -> None:
-        """Record and actuate one governor decision."""
-        loop.decisions.record(loop.time_s, target)
-        loop.pending_stall_s += self.device.actuator.set_frequency(target)
-        loop.window_s = 0.0
-
-    def _decide(self, loop: _LoopState, state) -> None:
-        """One governor decision point (shared by both paths)."""
-        sample = self._decision_sample(loop, state)
         target = self.governor.decide(sample, self.context)
-        self._apply_decision(loop, target)
+        loop.decisions.record(loop.time_s, target)
+        loop.pending_stall_s += device.actuator.set_frequency(target)
+        loop.window_s = 0.0
 
     # -- the per-step reference path -----------------------------------
     def _step(self, loop: _LoopState) -> bool:
@@ -755,18 +699,11 @@ class Engine:
             temperature_c=device.thermal.soc_temperature_c,
         )
         increment_array = np.array(increments)
-        leakage = device.power_model.leakage
-        leak_constants = (
-            leakage.bound_constants(state.voltage_v)
-            if type(leakage) is LeakageParameters
-            else None
-        )
         return _RegimeTemplate(
             budgets=budgets,
             instructions=instructions,
             increments=increment_array,
             increments_col=increment_array.reshape(-1, 1),
-            increments_list=increments,
             core_dynamic_w=base.core_dynamic_w,
             memory_w=base.memory_w,
             non_leakage_w=base.core_dynamic_w + base.memory_w,
@@ -774,62 +711,81 @@ class Engine:
             leak_power_of_c=device.power_model.leakage.bound_evaluator(
                 state.voltage_v
             ),
-            leak_constants=leak_constants,
             per_core_power=per_core_power,
         )
 
-    def _regime_template(
-        self, loop: _LoopState, state, running: list[Task]
-    ) -> _RegimeTemplate:
-        """Look up (or build) the template of the current regime.
+    def _run_regime(self, loop: _LoopState) -> int:
+        """Bulk-execute the steps to the next event.
 
-        Three levels, cheapest first: the per-run memo (keyed by the
-        run-local ``(frequency, task phases)``), the fleet-level shared
-        index when this loop belongs to a
-        :class:`~repro.sim.fleet_engine.FleetEngine` (rows with equal
-        device models and placements share one template per operating
-        point), and the global LRU cache.  A build populates all the
-        levels it missed.
+        Returns the number of steps executed; 0 means this iteration is
+        not bulkable (pending stall, an event within the next couple of
+        steps, no runnable tasks) and the caller should take the
+        single-step path.
         """
+        if loop.pending_stall_s > 0:
+            return 0
+        device = self.device
+        dt = loop.dt
+        state = device.state
+        running = [task for task in self.tasks if task.running]
+        if not running:
+            return 0
+        # The regime's template: the per-run memo (keyed by the
+        # run-local frequency and task phases) first, then the
+        # cross-run LRU cache, building it only when both miss.
         key = (
             state.freq_hz,
             tuple((task.task_id, task.phase_index) for task in running),
         )
         template = loop.regime_templates.get(key)
         if template is None:
-            device = self.device
             shared_key = (
                 device.power_model,
                 device.cache,
                 device.memory,
-                loop.dt,
+                dt,
                 state,
                 tuple((task.core, task.current_phase) for task in running),
                 loop.core_plan.online_cores,
             )
-            shared = loop.shared_templates
-            template = None if shared is None else shared.get(shared_key)
+            template = _TEMPLATE_CACHE.get(shared_key)
             if template is None:
-                template = _TEMPLATE_CACHE.get(shared_key)
-                if template is None:
-                    template = self._build_template(loop, state, running)
-                    _TEMPLATE_CACHE.put(shared_key, template)
-                if shared is not None:
-                    shared[shared_key] = template
+                template = self._build_template(loop, state, running)
+                _TEMPLATE_CACHE.put(shared_key, template)
             loop.regime_templates[key] = template
-        return template
+        budgets = template.budgets
+        instructions = template.instructions
+        interval = self.governor.interval_s
+        max_time = self.config.max_time_s
 
-    def _plan_bases(self, loop: _LoopState, running: list[Task]) -> list[float]:
-        """Current running totals, in planning-table row order.
+        # Scalar estimate of the steps to the nearest event: a phase
+        # crossing excludes its step from the regime, the timeout and a
+        # decision boundary include theirs.  Float drift moves the true
+        # event index by at most a step; the exact check below corrects.
+        n = int(min(
+            (max_time - loop.time_s) / dt, (interval - loop.window_s) / dt
+        )) + 1
+        for task, budget, instr in zip(running, budgets, instructions):
+            estimate = int((instr - task.instructions_done_in_phase) / budget)
+            if estimate < n:
+                n = estimate
+        if n < _MIN_REGIME_STEPS:
+            # The event is provably within the next n + 1 steps, and the
+            # caller falls through to a _step right now -- skip the
+            # doomed re-attempts for the n steps after it.
+            loop.regime_cooldown = n
+            return 0
+        clamped = n > _MAX_REGIME_STEPS
+        if clamped:
+            n = _MAX_REGIME_STEPS
 
-        Row 0 simulated time, row 1 the governor window, row 2 the
-        counter-window clock, then ten rows per task (phase progress,
-        lifetime instructions, the four summary fields, the four
-        counter-window fields).  One sequential cumsum over these bases
-        and the template's per-step increments resumes all of them
-        bit-identically to the scalar loop.
-        """
-        counters = self.device.counters
+        # Running totals for everything a constant regime accumulates:
+        # row 0 simulated time, row 1 the governor window, row 2 the
+        # counter-window clock, then ten rows per task (phase progress,
+        # lifetime instructions, the four summary fields, the four
+        # counter-window fields).  One sequential cumsum resumes all of
+        # them bit-identically to the scalar loop.
+        counters = device.counters
         bases = [loop.time_s, loop.window_s, counters.elapsed_s]
         for task in running:
             summary = loop.summaries[task.task_id]
@@ -846,46 +802,31 @@ class Engine:
                 window.l2_accesses,
                 window.l2_misses,
             ]
-        return bases
+        rows = len(bases)
+        buffer = loop.series_buffers.get(rows)
+        if buffer is None or buffer.shape[1] < n + 1:
+            buffer = np.empty((rows, max(n + 1, 64)))
+            loop.series_buffers[rows] = buffer
+        # In-place resumed cumulative sums: column 0 carries the running
+        # totals, every later column the per-step increment, and the
+        # accumulate sweeps left to right -- the same strictly
+        # sequential summation order as the scalar reference loop.
+        series = buffer[:, : n + 1]
+        series[:, 0] = bases
+        series[:, 1:] = template.increments_col
+        np.add.accumulate(series, axis=1, out=series)
 
-    def _seal_plan(
-        self,
-        loop: _LoopState,
-        state,
-        running: list[Task],
-        template: _RegimeTemplate,
-        series: np.ndarray,
-        n: int,
-        clamped: bool,
-        min_steps: int = _MIN_REGIME_STEPS,
-        decision_check: bool = True,
-    ) -> _RegimePlan | None:
-        """Exact event check at the regime boundary of a summed table.
-
-        Every per-step event predicate is monotone in the step index
-        (the underlying totals only grow), so checking steps ``n`` and
-        ``n - 1`` covers the whole regime:
-
-        * a crossed phase at step n, or a step whose pre-state violates
-          ``budget <= instructions - done`` (the condition for the
-          reference's ``min(budget, left_in_phase)`` to reduce to a
-          plain ``+= budget``), must stay out of bulk;
-        * the timeout and decision events may land exactly on step n
-          but not earlier.
-
-        With ``decision_check=False`` the decision boundary neither
-        trims nor flags the plan: the caller (the fleet engine's
-        chained planner) lets provably no-op decisions pass through the
-        regime and bookkeeps them itself.
-
-        Returns the validated plan, or ``None`` (with the cooldown set)
-        when fewer than ``min_steps`` steps survive the trim.
-        """
-        budgets = template.budgets
-        instructions = template.instructions
-        interval = self.governor.interval_s
-        max_time = self.config.max_time_s
-        while n >= min_steps:
+        # Exact event check at the regime boundary.  Every per-step
+        # event predicate is monotone in the step index (the underlying
+        # totals only grow), so checking steps ``n`` and ``n - 1``
+        # covers the whole regime:
+        # * a crossed phase at step n, or a step whose pre-state
+        #   violates ``budget <= instructions - done`` (the condition
+        #   for the reference's ``min(budget, left_in_phase)`` to
+        #   reduce to a plain ``+= budget``), must stay out of bulk;
+        # * the timeout and decision events may land exactly on step n
+        #   but not earlier.
+        while n >= _MIN_REGIME_STEPS:
             # Python-float columns: the checks below (and the write-back
             # after) read boundary cells many times, and one ``tolist``
             # beats repeated NumPy scalar indexing.
@@ -901,114 +842,29 @@ class Engine:
                     break
             if valid and last[0] >= max_time and prev[0] >= max_time:
                 valid = False
-            if valid and decision_check and last[1] + 1e-12 >= interval \
+            if valid and last[1] + 1e-12 >= interval \
                     and prev[1] + 1e-12 >= interval:
                 valid = False
             if valid:
                 break
             n -= 1
-        if n < min_steps:
+        if n < _MIN_REGIME_STEPS:
             loop.regime_cooldown = n
-            return None
-        return _RegimePlan(
-            state=state,
-            running=running,
-            template=template,
-            series=series,
-            n=n,
-            last=last,
-            decision_due=decision_check and last[1] + 1e-12 >= interval,
-            clamped=clamped,
-        )
-
-    def _plan_regime(
-        self, loop: _LoopState, min_steps: int = _MIN_REGIME_STEPS
-    ) -> _RegimePlan | None:
-        """Plan (and validate) the bulk steps to the next event.
-
-        Returns ``None`` when this iteration is not bulkable (pending
-        stall, an event within the next ``min_steps`` steps, no
-        runnable tasks) and the caller should take the single-step
-        path.  A returned plan has already advanced the planning table;
-        only the thermal integration and the write-back
-        (:meth:`_execute_plan`) remain.
-
-        ``min_steps`` is a pure execution-strategy knob: any regime
-        the seal validates commits exactly the values the scalar loop
-        would produce, however short, so callers that amortize the
-        planning overhead across rows (the fleet engine) profitably
-        bulk even single-step regimes, while the solo path keeps the
-        :data:`_MIN_REGIME_STEPS` floor below which its fixed cost
-        loses to plain steps.
-        """
-        if loop.pending_stall_s > 0:
-            return None
-        dt = loop.dt
-        state = self.device.state
-        running = [task for task in self.tasks if task.running]
-        if not running:
-            return None
-        template = self._regime_template(loop, state, running)
-        interval = self.governor.interval_s
-        max_time = self.config.max_time_s
-
-        # Scalar estimate of the steps to the nearest event: a phase
-        # crossing excludes its step from the regime, the timeout and a
-        # decision boundary include theirs.  Float drift moves the true
-        # event index by at most a step; the exact check in the seal
-        # corrects.
-        n = int(min(
-            (max_time - loop.time_s) / dt, (interval - loop.window_s) / dt
-        )) + 1
-        for task, budget, instr in zip(
-            running, template.budgets, template.instructions
-        ):
-            estimate = int((instr - task.instructions_done_in_phase) / budget)
-            if estimate < n:
-                n = estimate
-        if n < min_steps:
-            # The event is provably within the next n + 1 steps, and the
-            # caller falls through to a _step right now -- skip the
-            # doomed re-attempts for the n steps after it.
-            loop.regime_cooldown = n
-            return None
-        clamped = n > _MAX_REGIME_STEPS
-        if clamped:
-            n = _MAX_REGIME_STEPS
-
-        bases = self._plan_bases(loop, running)
-        rows = len(bases)
-        buffer = loop.series_buffers.get(rows)
-        if buffer is None or buffer.shape[1] < n + 1:
-            buffer = np.empty((rows, max(n + 1, 64)))
-            loop.series_buffers[rows] = buffer
-        # In-place resumed cumulative sums: column 0 carries the running
-        # totals, every later column the per-step increment, and the
-        # accumulate sweeps left to right -- the same strictly
-        # sequential summation order as the scalar reference loop (and
-        # as :func:`repro.soc.numerics.accumulate_rows`, whose
-        # allocation this scratch buffer avoids).
-        series = buffer[:, : n + 1]
-        series[:, 0] = bases
-        series[:, 1:] = template.increments_col
-        np.add.accumulate(series, axis=1, out=series)
-        return self._seal_plan(
-            loop, state, running, template, series, n, clamped, min_steps
-        )
-
-    def _run_regime(self, loop: _LoopState) -> int:
-        """Bulk-execute the steps to the next event.
-
-        Returns the number of steps executed; 0 means this iteration is
-        not bulkable and the caller should take the single-step path.
-        """
-        regime = self._plan_regime(loop)
-        if regime is None:
             return 0
-        template = regime.template
-        dt = loop.dt
-        leak_w, total_w, temp_c = self.device.thermal.integrate_regime(
-            steps=regime.n,
+
+        # Execute the regime.  Phase-entry stamps land at the regime's
+        # first step, exactly where the reference stamps them.
+        record = self.config.record_trace
+        for task in running:
+            if loop.last_phase[task.task_id] != task.phase_index:
+                loop.last_phase[task.task_id] = task.phase_index
+                if record:
+                    loop.trace.phase_starts.append(
+                        (loop.time_s, task.task_id, task.current_phase.name)
+                    )
+
+        leak_w, total_w, temp_c = device.thermal.integrate_regime(
+            steps=n,
             dt_s=dt,
             non_leakage_soc_w=template.non_leakage_w,
             rest_of_device_w=template.rest_of_device_w,
@@ -1020,53 +876,6 @@ class Engine:
         for power, temperature in zip(total_w, temp_c):
             energy_j += power * dt
             temperature_integral += temperature * dt
-        self._execute_plan(
-            loop, regime, leak_w, total_w, temp_c,
-            energy_j, temperature_integral,
-        )
-        return regime.n
-
-    def _execute_plan(
-        self,
-        loop: _LoopState,
-        regime: _RegimePlan,
-        leak_w,
-        total_w,
-        temp_c,
-        energy_j: float,
-        temperature_integral: float,
-        decide: bool = True,
-    ) -> None:
-        """Commit an integrated regime: tables, trace, decision point.
-
-        ``leak_w`` / ``total_w`` / ``temp_c`` are the regime's thermal
-        series -- integrated scalar by :meth:`_run_regime` or across
-        rows by the fleet engine, bit-identical either way -- and
-        ``energy_j`` / ``temperature_integral`` the accumulators
-        already advanced over them.  The device's thermal state must
-        already hold the regime's end temperature.
-
-        With ``decide=False`` a due decision point is left to the
-        caller (the fleet engine batches its rows' decisions through
-        one governor-kernel pass after all write-backs commit); the
-        caller must then perform it before the row advances again.
-        """
-        state = regime.state
-        running = regime.running
-        last = regime.last
-        n = regime.n
-        template = regime.template
-
-        # Phase-entry stamps land at the regime's first step, exactly
-        # where the reference stamps them.
-        record = self.config.record_trace
-        for task in running:
-            if loop.last_phase[task.task_id] != task.phase_index:
-                loop.last_phase[task.task_id] = task.phase_index
-                if record:
-                    loop.trace.phase_starts.append(
-                        (loop.time_s, task.task_id, task.current_phase.name)
-                    )
         loop.energy_j = energy_j
         loop.temperature_integral = temperature_integral
 
@@ -1086,13 +895,13 @@ class Engine:
                 l2_accesses=last[row + 8],
                 l2_misses=last[row + 9],
             )
-        self.device.counters.install_window(last[2], windows)
+        counters.install_window(last[2], windows)
         loop.time_s = last[0]
         loop.window_s = last[1]
 
         if record:
             loop.trace.record_block(
-                times_s=regime.series[0, 1 : n + 1],
+                times_s=series[0, 1 : n + 1],
                 freq_hz=state.freq_hz,
                 total_power_w=total_w,
                 core_dynamic_w=template.core_dynamic_w,
@@ -1103,15 +912,15 @@ class Engine:
         # No completion is possible inside a regime (a finish implies a
         # phase crossing, which ends the regime beforehand), so the
         # only post-step action left is the decision point.
-        if regime.decision_due:
-            if decide:
-                self._decide(loop, state)
-        elif not regime.clamped:
+        if last[1] + 1e-12 >= interval:
+            self._decide(loop, state)
+        elif not clamped:
             # The regime ended for a reason other than a decision or the
             # planning-horizon clamp, so the very next step hits a phase
             # crossing (or the timeout, which ends the loop anyway): a
             # fresh attempt would only rediscover that and fail.
             loop.regime_cooldown = 1
+        return n
 
 
 @dataclass

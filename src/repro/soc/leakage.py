@@ -95,28 +95,6 @@ class LeakageParameters:
 
         return power_w
 
-    def bound_constants(self, voltage_v: float) -> tuple[float, float, float]:
-        """The ``(k1v, slope, gate)`` constants of :meth:`bound_evaluator`.
-
-        Callers that inline Equation 5 into a tight loop (the fleet
-        engine's no-series thermal pass) evaluate exactly
-
-            ``k1v * kelvin**2 * exp(slope / kelvin) + gate``
-
-        which is bit-identical to the closure -- the constants here are
-        computed with the closure's own expressions.
-
-        Raises:
-            ValueError: If the voltage is non-positive.
-        """
-        if voltage_v <= 0:
-            raise ValueError("voltage must be positive")
-        return (
-            self.k1 * voltage_v,
-            self.alpha * voltage_v + self.beta,
-            self.k2 * math.exp(self.gamma * voltage_v + self.delta),
-        )
-
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         """Parameters as an ordered tuple (useful for fitting code)."""
         return (self.k1, self.k2, self.alpha, self.beta, self.gamma, self.delta)

@@ -182,23 +182,6 @@ class ThermalModel:
             self._core_power_w = dict(per_core_power_w)
         return leak_w, total_w, temp_c
 
-    def install_regime(
-        self,
-        temperature_c: float,
-        per_core_power_w: dict[int, float] | None = None,
-    ) -> None:
-        """Install the end state of an externally integrated regime.
-
-        The fleet engine integrates the thermal recurrence of many
-        devices in one vectorized sweep
-        (:func:`repro.soc.numerics.integrate_thermal_rows`); this
-        applies one device's resulting state exactly as
-        :meth:`integrate_regime` would have.
-        """
-        self.soc_temperature_c = temperature_c
-        if per_core_power_w is not None:
-            self._core_power_w = dict(per_core_power_w)
-
     def steady_state_c(self, total_power_w: float) -> float:
         """Temperature the package converges to at constant power."""
         if total_power_w < 0:

@@ -1,4 +1,5 @@
-"""Telemetry store: record shape, fsync batching, partitioning."""
+"""Telemetry store: record shape, fsync batching, partitioning, torn
+tails."""
 
 import json
 
@@ -145,3 +146,52 @@ class TestStorePartitioning:
         assert arrays["accepted"].tolist() == [True, False]
         assert arrays["simulated_load_time_s"][0] == 1.25
         assert np.isnan(arrays["simulated_energy_j"]).all()
+
+
+def _tear(path, device="torn"):
+    """Append the first half of a record line, as a crashed sync would."""
+    line = json.dumps(_record(device=device), sort_keys=True)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])
+
+
+def _devices(store):
+    return [record["device_id"] for record in store.iter_records()]
+
+
+class TestTornTails:
+    @pytest.fixture()
+    def store(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        with store.writer() as writer:
+            writer.append(_record(device="whole-a"))
+            writer.append(_record(device="whole-b"))
+        _tear(store.shard_path(0))
+        return store
+
+    def test_reader_skips_a_torn_last_line(self, store, tmp_path):
+        assert _devices(store) == ["whole-a", "whole-b"]
+        assert store.record_count() == 2
+        assert store.export_npz(tmp_path / "telemetry.npz") == 2
+
+    def test_reader_raises_on_a_bad_line_with_records_after_it(
+        self, tmp_path
+    ):
+        store = TelemetryStore(tmp_path, fingerprint="cafe")
+        whole = json.dumps(_record(), sort_keys=True)
+        store.shard_path(0).write_text(f"{whole}\n{{not json\n{whole}\n")
+        with pytest.raises(json.JSONDecodeError):
+            list(store.iter_records())
+
+    def test_restarted_writer_truncates_the_torn_tail(self, store):
+        with store.writer() as writer:
+            writer.append(_record(device="after-restart"))
+        assert _devices(store) == ["whole-a", "whole-b", "after-restart"]
+        assert store.shard_path(0).read_text().endswith("\n")
+
+    def test_a_shard_holding_only_a_fragment_is_emptied(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        _tear(store.shard_path(0))
+        with store.writer() as writer:
+            writer.append(_record(device="first"))
+        assert _devices(store) == ["first"]

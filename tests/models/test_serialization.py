@@ -1,6 +1,7 @@
 """Model persistence round-trip tests."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,53 @@ from repro.models.serialization import (
     predictor_to_dict,
     save_predictor,
 )
+
+
+def _first_segment(data, surface):
+    segments = data[surface]["segments"]
+    return segments[next(iter(segments))]
+
+
+def _nan_coefficient(data):
+    _first_segment(data, "load_time_model")["coefficients"][0] = math.nan
+
+
+def _inf_mean(data):
+    _first_segment(data, "power_model")["means"][0] = math.inf
+
+
+def _negative_inf_scale(data):
+    _first_segment(data, "load_time_model")["scales"][-1] = -math.inf
+
+
+def _nan_segment_key(data):
+    segments = data["power_model"]["segments"]
+    segments["nan"] = segments.pop(next(iter(segments)))
+
+
+def _inf_leakage_parameter(data):
+    data["leakage"]["parameters"][2] = math.inf
+
+
+def _nan_rms_error(data):
+    data["leakage"]["rms_error_w"] = math.nan
+
+
+def _nan_candidate_frequency(data):
+    data["candidate_freqs_hz"] = [729.6e6, math.nan]
+
+
+#: (in-place edit of a serialized bundle, pattern of the field the
+#: error must name).
+NON_FINITE_EDITS = [
+    (_nan_coefficient, r"load_time_model\.segments\[.+\]\.coefficients"),
+    (_inf_mean, r"power_model\.segments\[.+\]\.means"),
+    (_negative_inf_scale, r"load_time_model\.segments\[.+\]\.scales"),
+    (_nan_segment_key, r"power_model\.segments holds"),
+    (_inf_leakage_parameter, r"leakage\.parameters"),
+    (_nan_rms_error, r"leakage\.rms_error_w"),
+    (_nan_candidate_frequency, r"candidate_freqs_hz"),
+]
 
 
 @pytest.fixture()
@@ -113,3 +161,25 @@ class TestValidation:
         data["platform"] = "pixel-9000"
         with pytest.raises(ValueError, match="trained for"):
             predictor_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        NON_FINITE_EDITS,
+        ids=[edit.__name__.lstrip("_") for edit, _ in NON_FINITE_EDITS],
+    )
+    def test_non_finite_number_rejected(self, small_predictor, edit, field):
+        data = predictor_to_dict(small_predictor)
+        edit(data)
+        with pytest.raises(ValueError, match=field):
+            predictor_from_dict(data)
+
+    def test_non_finite_number_rejected_from_a_file(
+        self, small_predictor, tmp_path
+    ):
+        data = predictor_to_dict(small_predictor)
+        _nan_coefficient(data)
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="coefficients"):
+            load_predictor(path)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.engine as engine_module
 from repro.browser.browser import browser_tasks
 from repro.browser.pages import page_by_name
 from repro.core.governors import (
@@ -168,18 +169,36 @@ BROWSER_CASES = [
     ("espn", "needleman-wunsch", "perf", 0.0017, False),
     ("espn", "needleman-wunsch", "mid", 0.002, True),
 ]
+BROWSER_IDS = [
+    f"{p}+{k or 'solo'}-{g}-dt{dt * 1e3:g}ms-{'tr' if t else 'notr'}"
+    for p, k, g, dt, t in BROWSER_CASES
+]
+
+#: Planning horizons short enough that most regimes end at the
+#: ``_MAX_REGIME_STEPS`` clamp instead of at an event.
+CLAMPED_HORIZONS = (6, 17)
 
 
 class TestBrowserWorkloadEquivalence:
     @pytest.mark.parametrize(
-        "page,kernel,governor,dt,trace",
-        BROWSER_CASES,
-        ids=[
-            f"{p}+{k or 'solo'}-{g}-dt{dt * 1e3:g}ms-{'tr' if t else 'notr'}"
-            for p, k, g, dt, t in BROWSER_CASES
-        ],
+        "page,kernel,governor,dt,trace", BROWSER_CASES, ids=BROWSER_IDS
     )
     def test_fast_matches_reference(self, page, kernel, governor, dt, trace):
+        ref = _browser_run(ReferenceEngine, page, kernel, governor, dt, trace)
+        fast = _browser_run(Engine, page, kernel, governor, dt, trace)
+        assert_bit_identical(ref, fast)
+
+    @pytest.mark.parametrize("max_steps", CLAMPED_HORIZONS)
+    @pytest.mark.parametrize(
+        "page,kernel,governor,dt,trace", BROWSER_CASES, ids=BROWSER_IDS
+    )
+    def test_clamped_horizon_matches_reference(
+        self, monkeypatch, page, kernel, governor, dt, trace, max_steps
+    ):
+        """The clamp is an execution-strategy knob: cutting regimes at
+        ``max_steps`` (clamped seals, and the regime attempts right
+        after them) must not move a single bit."""
+        monkeypatch.setattr(engine_module, "_MAX_REGIME_STEPS", max_steps)
         ref = _browser_run(ReferenceEngine, page, kernel, governor, dt, trace)
         fast = _browser_run(Engine, page, kernel, governor, dt, trace)
         assert_bit_identical(ref, fast)

@@ -1,31 +1,31 @@
-"""Fleet engine: lockstep rows vs the single-device oracle.
+"""Fleet engine: fleet rows vs the single-device oracle.
 
-The contract under test is the tentpole's bit-exactness guarantee:
-every row sliced out of a :class:`~repro.sim.fleet_engine.FleetEngine`
-run reproduces the single-device
-:class:`~repro.sim.engine.ReferenceEngine` result field-exactly --
-result scalars, task summaries, decisions, completions, phase stamps
-and (when tracing) every trace column, compared with ``==``.
+The contract under test is the fleet's bit-exactness guarantee: every
+row sliced out of a :class:`~repro.sim.fleet_engine.FleetEngine` run
+reproduces the single-device :class:`~repro.sim.engine.ReferenceEngine`
+result field-exactly -- result scalars, task summaries, decisions,
+completions, phase stamps and (when tracing) every trace column,
+compared with ``==``.
 
 Two layers, mirroring ``test_engine_equivalence.py``:
 
 * A curated heterogeneous fleet (pages x co-runners x governors x
   ambients x dt, traces on) checked row by row against the oracle.
 * Hypothesis-driven random rows embedded in a mixed fleet, so each
-  random device shares its thermal sweeps with rows of *different*
-  regime lengths and step sizes.
+  random device runs after rows of *different* regime lengths and step
+  sizes that share the engine's cross-run caches.
 """
 
-from contextlib import contextmanager
+import itertools
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.fleet_engine as fleet_module
 from repro.sim.engine import EngineConfig
 from repro.sim.fleet_engine import (
+    _STAGES,
     FleetEngine,
     FleetRowSpec,
     build_row_engine,
@@ -34,24 +34,14 @@ from repro.sim.fleet_engine import (
 from tests.sim.test_engine_equivalence import assert_bit_identical
 
 
-@contextmanager
-def batched_path(tail: int = 0):
-    """Pin the solo-tail cutoff so small fleets run the batched epochs.
-
-    The production cutoff (``_SOLO_TAIL_ROWS``) finishes fleets at or
-    below 16 live rows on the solo loop, which would let these small
-    equivalence fixtures bypass the very code under test.
-    """
-    saved = fleet_module._SOLO_TAIL_ROWS
-    fleet_module._SOLO_TAIL_ROWS = tail
-    try:
-        yield
-    finally:
-        fleet_module._SOLO_TAIL_ROWS = saved
-
-
 def _reference(spec: FleetRowSpec):
     return build_row_engine(spec, engine="reference").run()
+
+
+def _tick_clock():
+    """A stand-in monotonic clock: each reading is one second later."""
+    ticks = itertools.count()
+    return lambda: float(next(ticks))
 
 
 class TestHeterogeneousFleet:
@@ -130,17 +120,8 @@ class TestConstruction:
 class TestBitExactness:
     def test_curated_fleet_matches_reference_with_traces(self):
         specs = heterogeneous_fleet(12, seed=5, record_trace=True)
-        with batched_path():
-            results = FleetEngine(rows=specs).run()
+        results = FleetEngine(rows=specs).run()
         assert len(results) == len(specs)
-        for spec, result in zip(specs, results):
-            assert_bit_identical(_reference(spec), result)
-
-    def test_solo_tail_handoff_matches_reference(self):
-        """Rows that start batched and finish on the solo tail."""
-        specs = heterogeneous_fleet(12, seed=5)
-        with batched_path(tail=6):
-            results = FleetEngine(rows=specs).run()
         for spec, result in zip(specs, results):
             assert_bit_identical(_reference(spec), result)
 
@@ -150,8 +131,7 @@ class TestBitExactness:
             FleetRowSpec(page="amazon", governor="fixed", freq_hz=729.6e6),
             FleetRowSpec(page="msn", dt_s=0.004, max_time_s=0.1),
         )
-        with batched_path():
-            results = FleetEngine(rows=specs).run()
+        results = FleetEngine(rows=specs).run()
         assert results[0].load_time_s is None
         assert results[2].load_time_s is None
         for spec, result in zip(specs, results):
@@ -159,15 +139,32 @@ class TestBitExactness:
 
     def test_rerun_reproduces_the_fleet(self):
         fleet = FleetEngine(rows=heterogeneous_fleet(6, seed=9))
-        with batched_path():
-            first = fleet.run()
-            second = fleet.run()
+        first = fleet.run()
+        second = fleet.run()
         for a, b in zip(first, second):
             assert_bit_identical(a, b)
 
 
+class TestStageSeconds:
+    def test_injected_clock_times_every_stage_within_the_run(self):
+        clock = _tick_clock()
+        fleet = FleetEngine(rows=heterogeneous_fleet(4, seed=1), clock=clock)
+        started = clock()
+        fleet.run()
+        wall_s = clock() - started
+        stages = fleet.stage_seconds
+        assert tuple(stages) == _STAGES
+        assert all(stages[stage] >= 0.0 for stage in _STAGES)
+        assert 0.0 < sum(stages[stage] for stage in _STAGES) <= wall_s
+
+    def test_stages_stay_zero_without_a_clock(self):
+        fleet = FleetEngine(rows=heterogeneous_fleet(4, seed=1))
+        fleet.run()
+        assert fleet.stage_seconds == dict.fromkeys(_STAGES, 0.0)
+
+
 #: Filler rows with deliberately different step sizes and regime
-#: lengths, so random rows never get a sweep to themselves.
+#: lengths, so random rows never get a fleet to themselves.
 _FILLER_ROWS = (
     FleetRowSpec(page="espn", governor="fixed", freq_hz=2265.6e6),
     FleetRowSpec(page="amazon", kernel="srad", dt_s=0.004),
@@ -198,6 +195,5 @@ def test_random_row_matches_reference(
         dt_s=dt_s,
         record_trace=record_trace,
     )
-    with batched_path():
-        results = FleetEngine(rows=(spec,) + _FILLER_ROWS).run()
+    results = FleetEngine(rows=(spec,) + _FILLER_ROWS).run()
     assert_bit_identical(_reference(spec), results[0])

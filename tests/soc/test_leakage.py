@@ -74,22 +74,3 @@ class TestValidation:
         rebuilt = LeakageParameters(*params.as_tuple())
         assert rebuilt.power_w(1.0, 50.0) == params.power_w(1.0, 50.0)
 
-
-class TestBoundConstants:
-    def test_inlined_expression_matches_the_closure(self, params):
-        """Bit-identity of the fleet engine's inlined Eq. 5 term."""
-        import math
-
-        for voltage in (0.85, 1.05, 1.225):
-            closure = params.bound_evaluator(voltage)
-            k1v, slope, gate = params.bound_constants(voltage)
-            for temperature in (-10.0, 26.0, 48.0, 65.5, 90.0):
-                kelvin = temperature + 273.15
-                inline = (
-                    k1v * kelvin**2 * math.exp(slope / kelvin) + gate
-                )
-                assert inline == closure(temperature)
-
-    def test_zero_voltage_rejected(self, params):
-        with pytest.raises(ValueError):
-            params.bound_constants(0.0)
