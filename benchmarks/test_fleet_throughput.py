@@ -4,7 +4,7 @@ Replays one harvested counter-trace stream (with a deterministic
 per-device revisit pattern, so the skip cache sees realistic repeat
 traffic) three ways -- through the sharded
 :class:`~repro.serve.fleet.FleetDecisionService`, through one plain
-:class:`~repro.serve.service.DecisionService`, and through the scalar
+:class:`~repro.serve.fleet.DecisionService`, and through the scalar
 per-request loop -- and records the ``BENCH_fleet.json`` artifact at
 the repo root.
 
@@ -99,28 +99,3 @@ def test_fleet_throughput(bench_predictor):
         assert key in record
     assert record["latency"]["p99_ms"] >= record["latency"]["p50_ms"]
 
-
-def test_skip_cache_disabled_matches_pr2_stream(bench_predictor):
-    """``skip_cache=False`` + 1 shard reproduces the plain service exactly."""
-    from repro.serve.fleet import FleetConfig, FleetDecisionService
-    from repro.serve.loadgen import harvest_traces, request_stream
-    from repro.serve.service import DecisionService
-
-    config = LoadgenConfig(
-        devices=16, requests=512, revisit_period=8, tight_deadline_every=23
-    )
-    traces = harvest_traces(
-        combos=all_combos()[:3], config=HarnessConfig(dt_s=0.004)
-    )
-    requests = request_stream(traces, config)
-    single = DecisionService(
-        bench_predictor, config=config.service_config()
-    ).decide(requests, now=0.0)
-    fleet_config = FleetConfig(
-        workers=1, service=config.service_config(), skip_cache=False
-    )
-    with FleetDecisionService(bench_predictor, fleet_config) as fleet:
-        fleet_responses = fleet.decide(requests, now=0.0)
-    # Full response-stream equality: tickets, fopt, acceptance, queue
-    # delays and traces -- not just the frequencies.
-    assert fleet_responses == single

@@ -1,7 +1,7 @@
 """Concurrency-safety rules (R101..R105) for the multi-process layers.
 
 PRs 5-7 grew a fleet of forked worker processes (``serve/shard.py`` on
-:class:`repro.runtime.pool.PersistentWorker`), a 4-verb pipe protocol
+:class:`repro.runtime.pool.PersistentWorker`), a 3-verb pipe protocol
 with crash-recovery verb replay, an fsync-batched telemetry store, and
 an atomic model registry.  Each carries invariants that nothing
 checked statically until now:

@@ -139,7 +139,8 @@ def make_decision_service(
         include_leakage: ``False`` serves the DORA_no_lkg ablation.
         qos_margin: Deadline safety margin in ``[0, 1)``.
     """
-    from repro.serve.service import DecisionService, ServiceConfig
+    from repro.serve.fleet import DecisionService
+    from repro.serve.service import ServiceConfig
 
     return DecisionService(
         predictor if predictor is not None else default_predictor(),

@@ -160,7 +160,7 @@ def _replay_with_swap(
         virtual_now = index * gap_s
         if index == swap_at:
             swap_start = time.perf_counter()
-            fleet.swap_model(candidate, now=virtual_now)
+            fleet.swap_model(candidate)
             swap_call_s = time.perf_counter() - swap_start
         responses.extend(fleet.poll(virtual_now))
         responses.extend(fleet.submit(request, virtual_now))

@@ -191,12 +191,29 @@ class ModelRegistry:
         os.replace(tmp, pointer)
 
     def active_version(self) -> int | None:
-        """The pinned active version, ``None`` when nothing is pinned."""
+        """The pinned active version, ``None`` when nothing is pinned.
+
+        Raises:
+            RegistryError: When the ``ACTIVE`` pointer's text is not a
+                positive integer, or names a version that is not
+                published.
+        """
         pointer = self.partition / ACTIVE_FILE
         if not pointer.exists():
             return None
         text = pointer.read_text(encoding="utf-8").strip()
-        return int(text) if text else None
+        if not text.isdecimal() or int(text) < 1:
+            raise RegistryError(
+                f"ACTIVE pointer {text!r} under {self.partition} is not a "
+                "positive version number"
+            )
+        version = int(text)
+        if version not in self.versions():
+            raise RegistryError(
+                f"ACTIVE pointer {text!r} under {self.partition} names an "
+                "unpublished version"
+            )
+        return version
 
     def active_predictor(self) -> DoraPredictor | None:
         """The pinned active bundle, ``None`` when nothing is pinned."""

@@ -29,8 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.ppw import select_fopt_rows
-from repro.serve.batch_predictor import BatchDoraPredictor
+from repro.serve.service import DecisionPass, ServiceConfig
 
 #: DOM-node boundaries of the page classes (right-open intervals).
 PAGE_CLASS_BOUNDS = (1000, 4000)
@@ -107,11 +106,11 @@ class ShadowReport:
 class ShadowScorer:
     """Re-decides evaluated batches with a candidate model.
 
-    Built from any bundle the serving stack accepts (anything with a
-    ``batch_kernel()`` or accepted by
-    :meth:`BatchDoraPredictor.from_bundle`); scoring is one extra
-    vectorized kernel pass per batch, no per-request Python work
-    beyond the class bucketing.
+    Built from any bundle the serving stack accepts; scoring is one
+    extra :meth:`~repro.serve.service.DecisionPass.evaluate` per batch
+    (the serving path's own model pass and selection, on the
+    candidate), no per-request Python work beyond the class bucketing
+    and the regret of mismatches.
 
     Args:
         candidate: The candidate bundle to score.
@@ -127,14 +126,11 @@ class ShadowScorer:
         include_leakage: bool = True,
         qos_margin: float = 0.0,
     ) -> None:
-        kernel = getattr(candidate, "batch_kernel", None)
-        self.kernel: BatchDoraPredictor = (
-            kernel() if callable(kernel) else BatchDoraPredictor.from_bundle(candidate)
+        self.decision = DecisionPass(
+            candidate,
+            ServiceConfig(include_leakage=include_leakage, qos_margin=qos_margin),
         )
-        self.include_leakage = include_leakage
-        self.qos_margin = qos_margin
         self.report = ShadowReport()
-        self._order = self.kernel.selection_order
 
     def score_batch(
         self,
@@ -151,28 +147,10 @@ class ShadowScorer:
         """
         if not requests:
             return 0
-        pages = np.array([r.page.as_tuple() for r in requests], dtype=float)
-        mpki = np.array([r.corunner_mpki for r in requests], dtype=float)
-        utilization = np.array(
-            [r.corunner_utilization for r in requests], dtype=float
-        )
-        temperatures = np.array([r.temperature_c for r in requests], dtype=float)
-        deadlines = np.array(
-            [r.deadline_s * (1.0 - self.qos_margin) for r in requests],
-            dtype=float,
-        )
-        load, power = self.kernel.predict(
-            pages=pages,
-            corunner_mpki=mpki,
-            corunner_utilization=utilization,
-            temperatures_c=temperatures,
-            include_leakage=self.include_leakage,
-        )
-        order = self._order
-        columns = select_fopt_rows(load[:, order], power[:, order], deadlines)
-        winners = order[columns]
+        load, power, _deadlines, winners = self.decision.evaluate(requests)
+        freqs_hz = self.decision.kernel.freqs_hz
         rows = np.arange(len(requests))
-        candidate_fopt = self.kernel.freqs_hz[winners]
+        candidate_fopt = freqs_hz[winners]
         candidate_ppw = 1.0 / (load[rows, winners] * power[rows, winners])
 
         served = np.asarray(served_fopt_hz, dtype=float)
@@ -189,9 +167,7 @@ class ShadowScorer:
             self.report.mismatches += 1
             # Candidate-view regret of the served choice: re-read the
             # candidate's predictions at the served frequency.
-            served_column = int(
-                np.argmin(np.abs(self.kernel.freqs_hz - served[position]))
-            )
+            served_column = int(np.argmin(np.abs(freqs_hz - served[position])))
             served_ppw = 1.0 / (
                 load[position, served_column] * power[position, served_column]
             )

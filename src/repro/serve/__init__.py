@@ -14,18 +14,21 @@ The package splits along those lines:
   requests in one pass.
 * :mod:`repro.serve.sessions` -- per-device session registry (page
   census, counter state, current frequency) with TTL eviction.
-* :mod:`repro.serve.service` -- the request/response decision API with
-  micro-batching, deadline-aware admission and per-request tracing.
+* :mod:`repro.serve.service` -- the request/response types and the
+  Algorithm-1 decision pass (deadline-aware admission, one model pass
+  and one selection per batch, per-request tracing).
 * :mod:`repro.serve.loadgen` -- a synthetic fleet driver that replays
   counter traces harvested from the simulator and reports decision
   latency percentiles and throughput (``BENCH_serve.json`` /
   ``BENCH_fleet.json``).
 * :mod:`repro.serve.shard` -- device-hash partitioning and the shard
-  worker protocol (one long-lived :class:`DecisionService` per worker
-  process, built on :class:`repro.runtime.pool.PersistentWorker`).
-* :mod:`repro.serve.fleet` -- the shard router: multi-process serving
-  with a session-aware skip cache
-  (:class:`~repro.serve.fleet.FleetDecisionService`).
+  worker protocol (one long-lived decision pass per worker process,
+  built on :class:`repro.runtime.pool.PersistentWorker`).
+* :mod:`repro.serve.fleet` -- the micro-batching router: multi-process
+  serving with a session-aware skip cache
+  (:class:`~repro.serve.fleet.FleetDecisionService`), and its
+  single-process configuration
+  (:class:`~repro.serve.fleet.DecisionService`).
 
 Submodules are imported lazily: ``batch_predictor`` sits *below*
 :mod:`repro.models.predictor` in the dependency order (the scalar
@@ -43,11 +46,11 @@ _EXPORTS = {
     "BatchDoraPredictor": "repro.serve.batch_predictor",
     "DecisionRequest": "repro.serve.service",
     "DecisionResponse": "repro.serve.service",
-    "DecisionService": "repro.serve.service",
     "DecisionTrace": "repro.serve.service",
     "ServiceConfig": "repro.serve.service",
     "DeviceSession": "repro.serve.sessions",
     "SessionRegistry": "repro.serve.sessions",
+    "DecisionService": "repro.serve.fleet",
     "FleetConfig": "repro.serve.fleet",
     "FleetDecisionService": "repro.serve.fleet",
     "FleetStats": "repro.serve.fleet",

@@ -13,7 +13,7 @@ Bit-identity contract
 ---------------------
 The scalar :class:`repro.models.predictor.DoraPredictor` evaluates its
 prediction table through this kernel with a batch of one, and the
-batched :class:`repro.serve.service.DecisionService` with a batch of
+batched :class:`repro.serve.service.DecisionPass` with a batch of
 many.  Every operation below is element-wise or an independent per-row
 reduction (:meth:`repro.models.regression.RegressionModel.predict_rows`),
 so a request's predictions -- and therefore its fopt -- are the same

@@ -1,17 +1,22 @@
-"""repro.serve.fleet -- sharded decision serving with a skip cache.
+"""repro.serve.fleet -- the micro-batching decision router.
 
-One :class:`~repro.serve.service.DecisionService` saturates a core
-long before it saturates a fleet: the model pass is vectorized, but it
-is one process.  The fleet front-end hash-partitions device sessions
-across N shard workers (:func:`repro.serve.shard.shard_for`), each a
-full service in its own process, and keeps the router thin: admission,
-per-shard micro-batch buffering, ticket bookkeeping, and the skip
-cache.
+The router is the serving stack's one front-end: admission, the skip
+cache, per-shard micro-batch buffering, ticket bookkeeping, sessions
+and counters.  Each dispatched batch is evaluated exactly once, by a
+shard's :class:`~repro.serve.service.DecisionPass`.  One process
+saturates a core long before it saturates a fleet -- the model pass is
+vectorized, but it is one process -- so the router hash-partitions
+device sessions across N shard workers
+(:func:`repro.serve.shard.shard_for`), each in its own process.
+:class:`DecisionService`, the single-process service, is the router
+with one in-process shard and no skip cache.
 
-Sharding by *device* -- not round-robin by request -- is what makes
-the topology correct without coordination: a device's session state
-(page, counters, current frequency, skip anchor) lives on exactly one
-shard, so no state is ever split or merged across processes.
+Sharding by *device* -- not round-robin by request -- makes the
+partition a pure function of the request stream: a device's batches
+always go to the same shard, and its telemetry to the same shard file.
+Shards keep no state of their own (sessions, skip anchors, tickets and
+counters are the router's), so nothing is ever split or merged across
+processes.
 
 The skip cache is DORA's own amortization, lifted fleet-side.  On the
 phone, Algorithm 1 re-runs every interval but the actuator skips the
@@ -25,13 +30,10 @@ makes the cache lossless while still absorbing exact revisit traffic.
 
 Bit-identity contract
 ---------------------
-Every response's ``fopt_hz`` is bit-identical to the single-process
-:class:`DecisionService` (and therefore to the scalar
-``DoraGovernor``) for the same request, regardless of shard count,
+Every response's ``fopt_hz`` is bit-identical to the scalar
+``DoraGovernor`` for the same request, regardless of shard count,
 execution mode (process/serial), or whether it was answered by a shard
-pass or a skip-cache hit.  With ``skip_cache=False`` and one shard the
-full response stream -- tickets, batch boundaries, queue delays -- is
-exactly the single service's.
+pass or a skip-cache hit.
 """
 
 from __future__ import annotations
@@ -40,20 +42,18 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.models.performance_model import MIN_PREDICTED_LOAD_TIME_S
 from repro.runtime.pool import (
     DEFAULT_BACKOFF_S,
     DEFAULT_MAX_ATTEMPTS,
     in_worker,
     serial_downgrade_reason,
 )
-from repro.serve.batch_predictor import BatchDoraPredictor
 from repro.serve.service import (
+    DecisionPass,
     DecisionRequest,
     DecisionResponse,
     DecisionTrace,
     ServiceConfig,
-    ServiceStats,
 )
 from repro.serve.sessions import DeviceSession, SessionRegistry
 from repro.serve.shard import make_shards, shard_for
@@ -72,7 +72,7 @@ class FleetConfig:
         service: Per-shard :class:`ServiceConfig` (batching window,
             leakage ablation, QoS margin, session TTL).
         skip_cache: Enable the session-aware short circuit.  ``False``
-            makes the fleet a pure sharded fan-out of the PR-2 service.
+            evaluates every admitted request.
         skip_tolerance: Maximum absolute drift in each of co-runner
             MPKI, utilization and temperature for a request to replay
             the session's cached response.  ``0.0`` (default) requires
@@ -102,18 +102,18 @@ class FleetConfig:
 
 @dataclass
 class FleetStats:
-    """Router-side counters, duck-compatible with :class:`ServiceStats`.
+    """The router's running counters.
 
-    ``requests_total``/``rejected_total``/``skips_total`` are counted
-    live at the router; the batch-shaped fields (``batches_total``,
-    ``accepted_total``, ``largest_batch``) are merged up from the
-    shard services by :meth:`FleetDecisionService.merged_stats`.
+    Every field is counted live at the router; a dispatched batch is
+    one model pass, so ``batches_total``, ``accepted_total`` (requests
+    evaluated) and ``largest_batch`` are counted at dispatch.  Once
+    nothing is buffered, ``requests_total == rejected_total +
+    skips_total + accepted_total``.
     """
 
     requests_total: int = 0
     rejected_total: int = 0
     skips_total: int = 0
-    dispatched_total: int = 0
     flushes_on_size: int = 0
     flushes_on_wait: int = 0
     batches_total: int = 0
@@ -246,18 +246,19 @@ class _Buffered:
 
 
 class FleetDecisionService:
-    """Shard router: the fleet-scale face of :class:`DecisionService`.
+    """The micro-batching decision router over one or more shards.
 
-    Mirrors the single service's cooperative surface -- ``submit`` /
-    ``poll`` / ``pending`` / ``flush`` / ``decide`` -- so the load
-    generator and callers are interchangeable between the two.  The
-    difference is that ``submit`` may return responses for *earlier*
-    tickets (whatever the shards finished since the last call);
-    ``decide`` still returns the whole batch in ticket order.
+    Single-threaded and cooperative: callers ``submit`` requests and
+    drive flushing via the return value of ``submit`` (a batch filled),
+    ``poll`` (a wait budget expired) or ``flush`` (force); ``decide``
+    wraps the three for synchronous one-shot batches.  ``submit`` and
+    ``poll`` may return responses for *earlier* tickets (whatever the
+    shards finished since the last call); ``decide`` returns its whole
+    batch in ticket order.
 
     Args:
-        predictor: Trained bundle; each shard builds its own vectorized
-            kernel from it.
+        predictor: Trained bundle; the router admits with its
+            :class:`DecisionPass` and each shard evaluates with its own.
         config: Fleet topology and skip-cache tunables.
         clock: Monotonic-seconds source (tests inject virtual clocks).
     """
@@ -275,9 +276,15 @@ class FleetDecisionService:
         reason = serial_downgrade_reason(self.config.workers)
         if reason is None and in_worker():
             reason = "nested inside a pool worker"
+        if reason is None and self.config.workers == 1:
+            # Only REPRO_FORCE_POOL=1 gets here: serial_downgrade_reason
+            # already calls a one-worker pool pure overhead, and one
+            # shard stays in-process regardless, so DecisionService
+            # never owns a worker process.
+            reason = "one shard runs in-process"
         self.mode = "process" if reason is None else f"serial ({reason})"
         # Partitioning pays only when shards are real processes; in
-        # serial mode everything routes to one backing service, so
+        # serial mode everything routes to one in-process shard, so
         # misses batch together instead of splintering into per-shard
         # micro-passes (decisions are batch-invariant, so the batch
         # boundaries may differ between modes without changing bits).
@@ -300,17 +307,17 @@ class FleetDecisionService:
             if self.config.skip_cache
             else None
         )
-        self._fmax_hz = self._router_fmax(predictor)
+        #: Admission and the fmax fallback; shards evaluate with their
+        #: own pass over the same bundle.
+        self.decision = DecisionPass(predictor, service_config)
         self._buffers: list[list[_Buffered]] = [
             [] for _ in range(self._shard_count)
         ]
-        #: ticket -> (originating request, model version at dispatch),
-        #: alive while a shard holds it.  The version tag keeps a
-        #: pre-swap decision absorbed *after* the swap from anchoring a
-        #: stale response in the skip cache.
-        self._inflight: dict[int, tuple[DecisionRequest, int]] = {}
-        #: ticket -> router-clock enqueue time, for queue-delay accounting.
-        self._enqueued: dict[int, float] = {}
+        #: ticket -> (originating request, model version at dispatch,
+        #: router-clock enqueue time), alive while a shard holds it.
+        #: The version tag keeps a pre-swap decision absorbed *after*
+        #: the swap from anchoring a stale response in the skip cache.
+        self._inflight: dict[int, tuple[DecisionRequest, int, float]] = {}
         self._next_ticket = 0
         self._closed = False
         #: Bumped on every swap_model; tags dispatched tickets and
@@ -321,27 +328,6 @@ class FleetDecisionService:
         self._shadow = None
         self._shadow_candidate = None
 
-    @staticmethod
-    def _router_fmax(predictor) -> float:
-        """The fmax fallback frequency of a bundle's candidate set."""
-        kernel = getattr(predictor, "batch_kernel", None)
-        router_kernel: BatchDoraPredictor = (
-            kernel() if callable(kernel) else BatchDoraPredictor.from_bundle(predictor)
-        )
-        order = router_kernel.selection_order
-        return float(router_kernel.freqs_hz[order[-1]])
-
-    # ------------------------------------------------------------------
-    # Admission (identical to DecisionService)
-    # ------------------------------------------------------------------
-    def effective_deadline_s(self, request: DecisionRequest) -> float:
-        """The deadline Algorithm 1 actually compares against."""
-        return request.deadline_s * (1.0 - self.config.service.qos_margin)
-
-    def admits(self, request: DecisionRequest) -> bool:
-        """Same load-time-floor admission rule as the single service."""
-        return self.effective_deadline_s(request) >= MIN_PREDICTED_LOAD_TIME_S
-
     # ------------------------------------------------------------------
     # Cooperative serving surface
     # ------------------------------------------------------------------
@@ -350,7 +336,8 @@ class FleetDecisionService:
     ) -> list[DecisionResponse]:
         """Route one request; returns whatever responses became ready.
 
-        Ready responses are: an immediate rejection, a skip-cache
+        Ready responses are: an immediate rejection (admission fails:
+        answered with fmax, never occupying a batch slot), a skip-cache
         replay, and any shard results that arrived since the last call
         (including batches this submission just filled).
         """
@@ -358,13 +345,13 @@ class FleetDecisionService:
         ticket = self._next_ticket
         self._next_ticket += 1
         self.stats.requests_total += 1
-        if not self.admits(request):
+        if not self.decision.admits(request):
             self.stats.rejected_total += 1
             self.registry.record_rejection(request.device_id, now)
             rejection = DecisionResponse(
                 request_id=ticket,
                 device_id=request.device_id,
-                fopt_hz=self._fmax_hz,
+                fopt_hz=self.decision.fmax_hz,
                 accepted=False,
             )
             self._record_telemetry(request, rejection, now)
@@ -380,7 +367,7 @@ class FleetDecisionService:
         buffer.append(_Buffered(ticket, request, now))
         if len(buffer) >= self.config.service.max_batch_size:
             self.stats.flushes_on_size += 1
-            self._dispatch(shard_index, now)
+            self._dispatch(shard_index)
         return self._collect(now)
 
     def poll(self, now: float | None = None) -> list[DecisionResponse]:
@@ -392,7 +379,7 @@ class FleetDecisionService:
                 and now - buffer[0].enqueued_s >= self.config.service.max_wait_s
             ):
                 self.stats.flushes_on_wait += 1
-                self._dispatch(shard_index, now)
+                self._dispatch(shard_index)
         return self._collect(now)
 
     def pending(self) -> int:
@@ -403,7 +390,7 @@ class FleetDecisionService:
         """Dispatch every buffer and drain every shard to completion."""
         now = self.clock() if now is None else now
         for shard_index in range(self._shard_count):
-            self._dispatch(shard_index, now)
+            self._dispatch(shard_index)
         responses: list[DecisionResponse] = []
         for shard in self.shards:
             for tickets, answers in shard.drain():
@@ -427,22 +414,8 @@ class FleetDecisionService:
     # Telemetry and lifecycle
     # ------------------------------------------------------------------
     def merged_stats(self) -> FleetStats:
-        """Router counters with the shard services' batch counters
-        merged in (requires no in-flight work; call after ``flush``)."""
-        merged = FleetStats(**vars(self.stats))
-        merged.batches_total = 0
-        merged.accepted_total = 0
-        merged.largest_batch = 0
-        for shard in self.shards:
-            stats, _sessions = shard.stats()
-            merged.batches_total += stats.batches_total
-            merged.accepted_total += stats.accepted_total
-            merged.largest_batch = max(merged.largest_batch, stats.largest_batch)
-        return merged
-
-    def shard_service_stats(self) -> list[tuple[ServiceStats, int]]:
-        """Per-shard ``(service_stats, active_sessions)`` pairs."""
-        return [shard.stats() for shard in self.shards]
+        """A snapshot of :attr:`stats`, which the router counts whole."""
+        return replace(self.stats)
 
     def worker_restarts(self) -> int:
         """Total shard-worker respawns after crashes."""
@@ -466,19 +439,23 @@ class FleetDecisionService:
     # ------------------------------------------------------------------
     # Shard plumbing
     # ------------------------------------------------------------------
-    def _dispatch(self, shard_index: int, now: float) -> None:
+    def _dispatch(self, shard_index: int) -> None:
+        """Hand a shard its buffer: one batch, one model pass."""
         buffer = self._buffers[shard_index]
         if not buffer:
             return
         self._buffers[shard_index] = []
-        tickets = [entry.ticket for entry in buffer]
-        requests = [entry.request for entry in buffer]
+        self.stats.batches_total += 1
+        self.stats.accepted_total += len(buffer)
+        self.stats.largest_batch = max(self.stats.largest_batch, len(buffer))
         for entry in buffer:
-            self._inflight[entry.ticket] = (entry.request, self.model_version)
-        self.stats.dispatched_total += len(buffer)
-        for entry in buffer:
-            self._enqueued[entry.ticket] = entry.enqueued_s
-        self.shards[shard_index].dispatch(tickets, requests, now)
+            self._inflight[entry.ticket] = (
+                entry.request, self.model_version, entry.enqueued_s
+            )
+        self.shards[shard_index].dispatch(
+            [entry.ticket for entry in buffer],
+            [entry.request for entry in buffer],
+        )
 
     def _collect(self, now: float) -> list[DecisionResponse]:
         if not self._inflight:
@@ -492,23 +469,22 @@ class FleetDecisionService:
     def _absorb(
         self,
         tickets: list[int],
-        answers: list[DecisionResponse],
+        answers: list[tuple[float, DecisionTrace]],
         now: float,
     ) -> list[DecisionResponse]:
-        """Re-ticket a shard's positional answers and update sessions."""
+        """Answer a shard's decided batch and update sessions."""
         responses: list[DecisionResponse] = []
         shadow_requests: list[DecisionRequest] = []
         shadow_fopts: list[float] = []
-        for ticket, answer in zip(tickets, answers):
-            request, version = self._inflight.pop(ticket)
-            enqueued_s = self._enqueued.pop(ticket, now)
+        for ticket, (fopt_hz, trace) in zip(tickets, answers):
+            request, version, enqueued_s = self._inflight.pop(ticket)
             response = DecisionResponse(
                 request_id=ticket,
-                device_id=answer.device_id,
-                fopt_hz=answer.fopt_hz,
-                accepted=answer.accepted,
+                device_id=request.device_id,
+                fopt_hz=fopt_hz,
+                accepted=True,
                 queue_delay_s=max(0.0, now - enqueued_s),
-                trace=answer.trace,
+                trace=trace,
             )
             # A decision dispatched under an older model version must
             # not be anchored: the skip cache would replay it for the
@@ -527,7 +503,7 @@ class FleetDecisionService:
                     deadline_s=request.deadline_s,
                 )
             self._record_telemetry(request, response, now, version)
-            if self._shadow is not None and response.accepted:
+            if self._shadow is not None:
                 shadow_requests.append(request)
                 shadow_fopts.append(response.fopt_hz)
             responses.append(response)
@@ -587,7 +563,7 @@ class FleetDecisionService:
     # ------------------------------------------------------------------
     # Model hot-swap and shadow scoring
     # ------------------------------------------------------------------
-    def swap_model(self, predictor, now: float | None = None) -> None:
+    def swap_model(self, predictor) -> None:
         """Replace the serving model without dropping in-flight tickets.
 
         The swap is a batch boundary: router buffers are dispatched
@@ -605,16 +581,14 @@ class FleetDecisionService:
 
         Args:
             predictor: The replacement bundle.
-            now: Router-clock time of the swap (defaults to the clock).
         """
         if self._closed:
             raise RuntimeError("cannot swap on a closed fleet")
-        now = self.clock() if now is None else now
         for shard_index in range(self._shard_count):
-            self._dispatch(shard_index, now)
+            self._dispatch(shard_index)
         for shard in self.shards:
             shard.swap(predictor)
-        self._fmax_hz = self._router_fmax(predictor)
+        self.decision = DecisionPass(predictor, self.config.service)
         self.registry.clear_anchors()
         self.model_version += 1
 
@@ -673,3 +647,34 @@ class FleetDecisionService:
         """End the shadow window without swapping (keep the old model)."""
         self._shadow = None
         self._shadow_candidate = None
+
+
+class DecisionService(FleetDecisionService):
+    """The single-process decision service.
+
+    The router's one-shard, no-skip-cache configuration: every admitted
+    request is evaluated, in-process (one shard never gets a worker
+    process), so batch boundaries, queue delays and traces follow the
+    micro-batching rules alone.
+
+    Args:
+        predictor: Trained bundle
+            (:class:`repro.models.predictor.DoraPredictor`).
+        config: Batching/selection tunables.
+        clock: Monotonic-seconds source for queue-delay accounting and
+            session TTLs.
+    """
+
+    def __init__(
+        self,
+        predictor,
+        config: ServiceConfig | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(
+            predictor,
+            FleetConfig(
+                workers=1, service=config or ServiceConfig(), skip_cache=False
+            ),
+            clock=clock,
+        )

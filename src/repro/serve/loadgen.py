@@ -28,12 +28,10 @@ Two trace sources feed the replays:
   pattern a real fleet produces instead of a uniform drip.  Because
   fleet rows are bit-identical to single-device runs, the twin's
   request *contents* equal the harvested path's exactly -- only the
-  arrival process differs.  The twin inherits the fleet engine's
-  batched cross-row regime planner for free (its recording-governor
-  rows never chain through decision boundaries -- every decision must
-  reach the recorder -- but the vectorized planning, grouped
-  accumulates and no-series thermal path all apply), and exposes the
-  planner's per-stage wall breakdown for attribution.
+  arrival process differs.  Each twin row runs through the engine's
+  solo regime-stepped loop, and the fleet engine's per-stage wall
+  breakdown (its ``regimes`` and ``scalar_steps`` stages) is exposed
+  for attribution.
 """
 
 from __future__ import annotations
@@ -54,12 +52,8 @@ from repro.core.ppw import select_fopt
 from repro.experiments.cache import memoized
 from repro.experiments.harness import HarnessConfig, run_workload
 from repro.experiments.suite import WorkloadCombo, all_combos
-from repro.serve.service import (
-    DecisionRequest,
-    DecisionResponse,
-    DecisionService,
-    ServiceConfig,
-)
+from repro.serve.fleet import DecisionService, FleetConfig, FleetDecisionService
+from repro.serve.service import DecisionRequest, DecisionResponse, ServiceConfig
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.fleet_engine import FleetEngine
 from repro.sim.governor import Governor, RunContext
@@ -523,20 +517,18 @@ class FleetLoadGenerator:
     Args:
         predictor: Trained bundle (ignored when ``service`` is given).
         config: Replay parameters.
-        service: Pre-built service to drive instead of a fresh
-            single-process :class:`DecisionService` -- anything with
-            the cooperative ``submit`` / ``poll`` / ``flush`` surface,
-            in particular a
-            :class:`repro.serve.fleet.FleetDecisionService`.  The
-            replay passes an explicit virtual ``now`` to every call,
-            so the injected service's own clock is never consulted.
+        service: Pre-built router to drive instead of a fresh
+            single-process :class:`DecisionService`, e.g. a sharded
+            :class:`FleetDecisionService`.  The replay passes an
+            explicit virtual ``now`` to every call, so the injected
+            service's own clock is never consulted.
     """
 
     def __init__(
         self,
         predictor,
         config: LoadgenConfig | None = None,
-        service=None,
+        service: FleetDecisionService | None = None,
     ) -> None:
         self.config = config or LoadgenConfig()
         self._virtual_now = 0.0
@@ -598,8 +590,7 @@ class FleetLoadGenerator:
         wall_s = time.perf_counter() - wall_start
 
         responses.sort(key=lambda response: response.request_id)
-        merged = getattr(self.service, "merged_stats", None)
-        stats = merged() if callable(merged) else self.service.stats
+        stats = self.service.stats
         return LoadgenReport(
             config=self.config,
             responses=tuple(responses),
@@ -610,7 +601,7 @@ class FleetLoadGenerator:
             mean_batch_size=stats.mean_batch_size(),
             largest_batch=stats.largest_batch,
             rejected=stats.rejected_total,
-            skips=getattr(stats, "skips_total", 0),
+            skips=stats.skips_total,
         )
 
 
@@ -883,8 +874,6 @@ def run_fleet_bench(
             harvest runs), so the zero-mismatch cross-checks hold for
             both.
     """
-    from repro.serve.fleet import FleetConfig, FleetDecisionService
-
     if trace_source not in ("harvest", "twin"):
         raise KeyError(f"unknown trace source {trace_source!r}")
     config = config or LoadgenConfig(requests=4096, revisit_period=16)

@@ -1,12 +1,15 @@
-"""The batched governor-decision service.
+"""The decision API's value types and the Algorithm-1 decision pass.
 
 One request is one device asking "what frequency should I run at for
 the next interval?", carrying its page census, its latest counter
-observations and its QoS deadline.  The service micro-batches in-flight
-requests -- flushing when the batch fills or the oldest request has
-waited ``max_wait_s`` -- and answers a whole batch with one vectorized
-model pass plus one vectorized selection
-(:func:`repro.core.ppw.select_fopt_rows`).
+observations and its QoS deadline.  :class:`DecisionPass` is DORA's
+Algorithm 1 over a batch of such requests: one vectorized model pass
+plus one vectorized selection
+(:func:`repro.core.ppw.select_fopt_rows`), and the only code in the
+serving stack that turns requests into decisions.  Micro-batching lives
+in the fleet router (:class:`repro.serve.fleet.FleetDecisionService`);
+the single-process :class:`repro.serve.fleet.DecisionService` is its
+one-shard configuration.
 
 Equivalence contract
 --------------------
@@ -16,18 +19,15 @@ A request's ``fopt_hz`` is bit-identical to what a scalar
 inputs, regardless of what else shares the batch.  That holds for
 rejected requests too: admission rejects exactly the requests whose
 effective deadline is below the model's load-time floor, for which
-Algorithm 1's feasible set is provably empty -- so the service answers
-them with the maximum candidate frequency immediately, which is the
-same infeasible-fallback answer the scalar sweep would have computed.
+Algorithm 1's feasible set is provably empty -- so they are answered
+with the maximum candidate frequency immediately, which is the same
+infeasible-fallback answer the scalar sweep would have computed.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.browser.dom import PageFeatures
 from repro.core.ppw import select_fopt_rows
 from repro.models.performance_model import MIN_PREDICTED_LOAD_TIME_S
 from repro.serve.batch_predictor import BatchDoraPredictor
-from repro.serve.sessions import SessionRegistry
 
 
 @dataclass(frozen=True)
@@ -158,77 +157,32 @@ class ServiceConfig:
             raise ValueError("qos_margin must lie in [0, 1)")
 
 
-@dataclass
-class ServiceStats:
-    """Running telemetry counters of one service instance."""
+class DecisionPass:
+    """DORA's Algorithm 1 over a batch: one model pass, one selection.
 
-    requests_total: int = 0
-    accepted_total: int = 0
-    rejected_total: int = 0
-    batches_total: int = 0
-    flushes_on_size: int = 0
-    flushes_on_wait: int = 0
-    largest_batch: int = 0
-
-    def mean_batch_size(self) -> float:
-        """Mean accepted requests per model pass."""
-        if self.batches_total == 0:
-            return 0.0
-        return self.accepted_total / self.batches_total
-
-
-@dataclass
-class _Pending:
-    """One queued request awaiting the next flush."""
-
-    ticket: int
-    request: DecisionRequest
-    enqueued_s: float
-
-
-class DecisionService:
-    """Micro-batching front-end over the vectorized decision kernel.
-
-    Single-threaded and cooperative: callers ``submit`` requests and
-    drive flushing via the return value of ``submit`` (batch filled),
-    ``poll`` (wait budget expired) or ``flush`` (force).  ``decide``
-    wraps the three for synchronous one-shot batches.
+    The one place the serving stack turns requests into decisions: the
+    fleet router admits with it, every shard evaluates its dispatched
+    batches with it, and :class:`repro.learn.shadow.ShadowScorer`
+    re-decides batches with a candidate bundle through it.
 
     Args:
         predictor: Trained bundle
-            (:class:`repro.models.predictor.DoraPredictor`).
-        config: Batching/selection tunables.
-        registry: Device-session store; a fresh one (with
-            ``config.session_ttl_s``) is created when omitted.
-        clock: Monotonic-seconds source for queue-delay accounting and
-            session TTLs.
+            (:class:`repro.models.predictor.DoraPredictor`, or anything
+            with a ``batch_kernel()`` or accepted by
+            :meth:`BatchDoraPredictor.from_bundle`).
+        config: Selection tunables (``include_leakage``,
+            ``qos_margin``); the batching fields are the router's.
     """
 
-    def __init__(
-        self,
-        predictor,
-        config: ServiceConfig | None = None,
-        registry: SessionRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.config = config or ServiceConfig()
-        self.clock = clock
+    def __init__(self, predictor, config: ServiceConfig) -> None:
+        self.config = config
         kernel = getattr(predictor, "batch_kernel", None)
         self.kernel: BatchDoraPredictor = (
             kernel() if callable(kernel) else BatchDoraPredictor.from_bundle(predictor)
         )
-        self.registry = registry or SessionRegistry(
-            ttl_s=self.config.session_ttl_s, clock=clock
-        )
-        self.stats = ServiceStats()
-        self._pending: deque[_Pending] = deque()
-        self._next_ticket = 0
-        order = self.kernel.selection_order
-        self._fmax_hz = float(self.kernel.freqs_hz[order[-1]])
+        #: Algorithm 1's infeasible fallback: the highest candidate.
+        self.fmax_hz = float(self.kernel.freqs_hz.max())
 
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
     def effective_deadline_s(self, request: DecisionRequest) -> float:
         """The deadline Algorithm 1 actually compares against."""
         return request.deadline_s * (1.0 - self.config.qos_margin)
@@ -245,130 +199,31 @@ class DecisionService:
         """
         return self.effective_deadline_s(request) >= MIN_PREDICTED_LOAD_TIME_S
 
-    # ------------------------------------------------------------------
-    # Batching
-    # ------------------------------------------------------------------
-    def submit(
-        self, request: DecisionRequest, now: float | None = None
-    ) -> list[DecisionResponse]:
-        """Queue one request; returns responses if the batch filled.
-
-        A rejected request is answered immediately (its response is the
-        only element returned) and never occupies a batch slot.
-        """
-        now = self.clock() if now is None else now
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self.stats.requests_total += 1
-        if not self.admits(request):
-            self.stats.rejected_total += 1
-            self.registry.record_rejection(request.device_id, now)
-            return [
-                DecisionResponse(
-                    request_id=ticket,
-                    device_id=request.device_id,
-                    fopt_hz=self._fmax_hz,
-                    accepted=False,
-                )
-            ]
-        self._pending.append(_Pending(ticket, request, now))
-        if len(self._pending) >= self.config.max_batch_size:
-            self.stats.flushes_on_size += 1
-            return self.flush(now)
-        return []
-
-    def poll(self, now: float | None = None) -> list[DecisionResponse]:
-        """Flush if the oldest pending request exhausted its wait budget."""
-        if not self._pending:
-            return []
-        now = self.clock() if now is None else now
-        if now - self._pending[0].enqueued_s >= self.config.max_wait_s:
-            self.stats.flushes_on_wait += 1
-            return self.flush(now)
-        return []
-
-    def pending(self) -> int:
-        """Requests queued for the next flush."""
-        return len(self._pending)
-
-    def flush(self, now: float | None = None) -> list[DecisionResponse]:
-        """Evaluate every pending request in one model pass."""
-        if not self._pending:
-            return []
-        now = self.clock() if now is None else now
-        batch = list(self._pending)
-        self._pending.clear()
-        return self._evaluate(batch, now)
-
-    def decide(
-        self, requests: list[DecisionRequest], now: float | None = None
-    ) -> list[DecisionResponse]:
-        """Answer a whole batch synchronously, in submission order."""
-        now = self.clock() if now is None else now
-        responses: list[DecisionResponse] = []
-        for request in requests:
-            responses.extend(self.submit(request, now))
-        responses.extend(self.flush(now))
-        responses.sort(key=lambda response: response.request_id)
-        return responses
-
-    # ------------------------------------------------------------------
-    # Model hot-swap
-    # ------------------------------------------------------------------
-    def swap_predictor(
-        self, predictor, now: float | None = None
-    ) -> list[DecisionResponse]:
-        """Replace the decision kernel, flushing pending work first.
-
-        The swap is a batch boundary: every request submitted before
-        this call is evaluated with the *old* kernel (its responses are
-        returned), and every request submitted after it sees the new
-        one.  No ticket is dropped and ticket numbering continues
-        uninterrupted, so in-flight callers observe only that their
-        flush happened slightly early.
-
-        Args:
-            predictor: The replacement bundle (anything with a
-                ``batch_kernel()`` or accepted by
-                :meth:`BatchDoraPredictor.from_bundle`).
-            now: Service-clock time of the swap (defaults to the
-                clock), used for the forced flush.
+    def evaluate(
+        self, requests: list[DecisionRequest]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Predict every candidate for a batch and select the winners.
 
         Returns:
-            Responses for the requests that were pending at swap time,
-            decided by the outgoing kernel.
+            ``(load_s, power_w, deadlines_s, winners)``: predicted load
+            time and total power per request and candidate (columns in
+            the kernel's candidate order), each request's effective
+            deadline, and each request's winning column.
         """
-        now = self.clock() if now is None else now
-        responses = self.flush(now)
-        kernel = getattr(predictor, "batch_kernel", None)
-        self.kernel = (
-            kernel() if callable(kernel) else BatchDoraPredictor.from_bundle(predictor)
-        )
-        order = self.kernel.selection_order
-        self._fmax_hz = float(self.kernel.freqs_hz[order[-1]])
-        return responses
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self, batch: list[_Pending], now: float
-    ) -> list[DecisionResponse]:
-        size = len(batch)
         pages = np.array(
-            [entry.request.page.as_tuple() for entry in batch], dtype=float
+            [request.page.as_tuple() for request in requests], dtype=float
         )
         mpki = np.array(
-            [entry.request.corunner_mpki for entry in batch], dtype=float
+            [request.corunner_mpki for request in requests], dtype=float
         )
         utilization = np.array(
-            [entry.request.corunner_utilization for entry in batch], dtype=float
+            [request.corunner_utilization for request in requests], dtype=float
         )
         temperatures = np.array(
-            [entry.request.temperature_c for entry in batch], dtype=float
+            [request.temperature_c for request in requests], dtype=float
         )
         deadlines = np.array(
-            [self.effective_deadline_s(entry.request) for entry in batch],
+            [self.effective_deadline_s(request) for request in requests],
             dtype=float,
         )
         load, power = self.kernel.predict(
@@ -382,20 +237,22 @@ class DecisionService:
         # answer back to the kernel's candidate order afterwards.
         order = self.kernel.selection_order
         columns = select_fopt_rows(load[:, order], power[:, order], deadlines)
-        winners = order[columns]
-        rows = np.arange(size)
+        return load, power, deadlines, order[columns]
+
+    def decide(
+        self, requests: list[DecisionRequest]
+    ) -> list[tuple[float, DecisionTrace]]:
+        """One ``(fopt_hz, trace)`` per request, in request order; each
+        trace's ``batch_size`` is the number of requests in this pass."""
+        load, power, deadlines, winners = self.evaluate(requests)
+        rows = np.arange(len(requests))
         winner_load = load[rows, winners]
         winner_power = power[rows, winners]
         feasible = winner_load <= deadlines
-
-        self.stats.batches_total += 1
-        self.stats.accepted_total += size
-        self.stats.largest_batch = max(self.stats.largest_batch, size)
-
-        responses: list[DecisionResponse] = []
-        for position, entry in enumerate(batch):
-            winner = int(winners[position])
-            fopt_hz = float(self.kernel.freqs_hz[winner])
+        fopts = self.kernel.freqs_hz[winners]
+        size = len(requests)
+        answers: list[tuple[float, DecisionTrace]] = []
+        for position, winner in enumerate(winners.tolist()):
             load_time_s = float(winner_load[position])
             power_w = float(winner_power[position])
             trace = DecisionTrace(
@@ -407,25 +264,5 @@ class DecisionService:
                 feasible=bool(feasible[position]),
                 batch_size=size,
             )
-            self.registry.record_decision(
-                device_id=entry.request.device_id,
-                page=entry.request.page,
-                corunner_mpki=entry.request.corunner_mpki,
-                corunner_utilization=entry.request.corunner_utilization,
-                temperature_c=entry.request.temperature_c,
-                freq_hz=fopt_hz,
-                now=now,
-                deadline_s=entry.request.deadline_s,
-            )
-            responses.append(
-                DecisionResponse(
-                    request_id=entry.ticket,
-                    device_id=entry.request.device_id,
-                    fopt_hz=fopt_hz,
-                    accepted=True,
-                    queue_delay_s=max(0.0, now - entry.enqueued_s),
-                    trace=trace,
-                )
-            )
-        self.registry.evict_expired(now)
-        return responses
+            answers.append((float(fopts[position]), trace))
+        return answers

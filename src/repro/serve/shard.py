@@ -1,24 +1,26 @@
-"""Shard workers: one long-lived decision service per device partition.
+"""Shard workers: one long-lived decision pass per device partition.
 
-The fleet front-end (:mod:`repro.serve.fleet`) hash-partitions device
-sessions across N shards.  Each shard is a full
-:class:`~repro.serve.service.DecisionService` -- its own vectorized
-:class:`~repro.serve.batch_predictor.BatchDoraPredictor`, its own
-session registry -- running either in a worker process
-(:class:`ProcessShard`, built on
+The fleet front-end (:mod:`repro.serve.fleet`) hash-partitions devices
+across N shards.  A shard evaluates each batch the router
+dispatches to it exactly once, through its own
+:class:`~repro.serve.service.DecisionPass` (and so its own vectorized
+:class:`~repro.serve.batch_predictor.BatchDoraPredictor`), running
+either in a worker process (:class:`ProcessShard`, built on
 :class:`repro.runtime.pool.PersistentWorker`) or in the router's own
 process (:class:`SerialShard`, the fallback the runtime's downgrade
-rules select on single-CPU hosts, for ``workers <= 1``, or nested
-inside a pool worker).
+rules select on single-CPU hosts, for one shard, or nested inside a
+pool worker).  Admission, sessions, tickets and queue delays are the
+router's; a shard only decides.
 
-Both speak the same three-call protocol to the router:
+Both speak the same calls to the router:
 
-* ``dispatch(tickets, requests, now)`` -- hand a sub-batch over (never
+* ``dispatch(tickets, requests)`` -- hand a sub-batch over (never
   blocks on the model pass in process mode);
-* ``collect()`` / ``drain()`` -- harvest finished
-  ``(tickets, responses)`` pairs, opportunistically or exhaustively;
-* ``stats()`` -- the shard service's counters (requires a drained
-  shard).
+* ``collect()`` / ``drain()`` -- harvest finished ``(tickets,
+  answers)`` pairs, opportunistically or exhaustively, where
+  ``answers`` holds one ``(fopt_hz, DecisionTrace)`` per ticket;
+* ``swap(predictor)`` -- replace the decision pass behind every batch
+  already dispatched.
 
 Determinism: a request's answer is a pure function of its own feature
 vector (the batch-invariance contract of
@@ -41,11 +43,10 @@ from repro.runtime.pool import (
     PersistentWorker,
 )
 from repro.serve.service import (
+    DecisionPass,
     DecisionRequest,
-    DecisionResponse,
-    DecisionService,
+    DecisionTrace,
     ServiceConfig,
-    ServiceStats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,10 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: router's reply pump for replies -- handles the complete set, so a
 #: verb added here without both handlers fails `repro lint` instead of
 #: hanging a pipe (or erroring a crash-recovery replay) at runtime.
-SHARD_REQUEST_VERBS = frozenset({"decide", "swap", "stats", "stop"})
+SHARD_REQUEST_VERBS = frozenset({"decide", "swap", "stop"})
 
 #: Replies the router-side pump must understand.
-SHARD_REPLY_VERBS = frozenset({"ok", "swapped", "error", "stats"})
+SHARD_REPLY_VERBS = frozenset({"ok", "swapped", "error"})
+
+#: One dispatched batch's answers: its tickets, and one
+#: ``(fopt_hz, trace)`` per ticket in the same order.
+ShardResult = tuple[list[int], list[tuple[float, DecisionTrace]]]
 
 #: Upper bound on un-collected batches per worker: dispatching past it
 #: blocks on a collect first, so the reply pipe can never fill while
@@ -87,29 +92,22 @@ def shard_for(device_id: str, shards: int) -> int:
 
 
 def shard_service_loop(conn, predictor, config: ServiceConfig) -> None:
-    """Worker-process entry: serve decide/stats messages until stopped.
+    """Worker-process entry: serve decide/swap messages until stopped.
 
     Messages are tuples; the first element selects the verb:
 
-    * ``("decide", seq, now, requests)`` -> ``("ok", seq, responses)``
-      with responses in submission order (positionally aligned with
-      ``requests``), or ``("error", seq, message)`` if evaluation
+    * ``("decide", seq, requests)`` -> ``("ok", seq, answers)`` with
+      one ``(fopt_hz, trace)`` per request, positionally aligned with
+      ``requests``, or ``("error", seq, message)`` if evaluation
       raised.
     * ``("swap", seq, predictor)`` -> ``("swapped", seq)``.  Replaces
-      the service's decision kernel.  The pipe is FIFO, so every
-      ``decide`` sent before the swap is evaluated with the old model
-      and every one after it with the new: the swap is a batch
-      boundary by construction, and no ticket is ever dropped.
-    * ``("stats", seq)`` -> ``("stats", seq, service_stats,
-      active_sessions)``.
+      the decision pass.  The pipe is FIFO, so every ``decide`` sent
+      before the swap is evaluated with the old model and every one
+      after it with the new: the swap is a batch boundary by
+      construction, and no ticket is ever dropped.
     * ``("stop",)`` -> exit the loop (no reply).
-
-    ``now`` is the router's virtual service clock, threaded through
-    every ``decide`` so queue-delay accounting and session TTLs in the
-    worker are deterministic functions of the request stream -- the
-    worker never reads a clock of its own.
     """
-    service = DecisionService(predictor, config=config)
+    decision = DecisionPass(predictor, config)
     while True:
         try:
             message = conn.recv()
@@ -117,20 +115,18 @@ def shard_service_loop(conn, predictor, config: ServiceConfig) -> None:
             break
         verb = message[0]
         if verb == "decide":
-            _, seq, now, requests = message
+            _, seq, requests = message
             try:
-                conn.send(("ok", seq, service.decide(list(requests), now)))
+                conn.send(("ok", seq, decision.decide(requests)))
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
         elif verb == "swap":
             _, seq, new_predictor = message
             try:
-                service.swap_predictor(new_predictor)
+                decision = DecisionPass(new_predictor, config)
                 conn.send(("swapped", seq))
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
-        elif verb == "stats":
-            conn.send(("stats", message[1], service.stats, len(service.registry)))
         elif verb == "stop":
             break
         else:  # protocol bug: make it visible instead of hanging
@@ -149,45 +145,33 @@ class SerialShard:
         self, index: int, predictor: "DoraPredictor", config: ServiceConfig
     ) -> None:
         self.index = index
-        self.service = DecisionService(predictor, config=config)
+        self._config = config
+        self.decision = DecisionPass(predictor, config)
         self.restarts = 0
-        self._ready: list[tuple[list[int], list[DecisionResponse]]] = []
+        self._ready: list[ShardResult] = []
 
-    def dispatch(
-        self,
-        tickets: list[int],
-        requests: list[DecisionRequest],
-        now: float,
-    ) -> None:
+    def dispatch(self, tickets: list[int], requests: list[DecisionRequest]) -> None:
         """Evaluate a sub-batch immediately (serial has no pipeline)."""
-        self._ready.append((tickets, self.service.decide(requests, now)))
+        self._ready.append((tickets, self.decision.decide(requests)))
 
     def swap(self, predictor: "DoraPredictor") -> None:
-        """Replace the shard's decision kernel immediately.
+        """Replace the shard's decision pass immediately.
 
         Serial dispatch evaluates synchronously, so every batch handed
         over before this call has already been decided by the old model
         -- the batch-boundary contract holds trivially.
         """
-        self.service.swap_predictor(predictor)
+        self.decision = DecisionPass(predictor, self._config)
 
-    def inflight(self) -> int:
-        """Batches dispatched but not yet collected."""
-        return len(self._ready)
-
-    def collect(self) -> list[tuple[list[int], list[DecisionResponse]]]:
+    def collect(self) -> list[ShardResult]:
         """All finished batches since the last collect."""
         ready = self._ready
         self._ready = []
         return ready
 
-    def drain(self) -> list[tuple[list[int], list[DecisionResponse]]]:
+    def drain(self) -> list[ShardResult]:
         """Serial shards are always fully drained by a collect."""
         return self.collect()
-
-    def stats(self) -> tuple[ServiceStats, int]:
-        """The shard service's counters and live-session count."""
-        return self.service.stats, len(self.service.registry)
 
     def close(self) -> None:
         """Nothing to tear down in-process."""
@@ -221,33 +205,28 @@ class ProcessShard:
         self._config = config
         #: seq -> tagged entry, insertion-ordered so recovery
         #: re-dispatches in the original order.  Entries are either
-        #: ``("decide", now, tickets, requests, attempts)`` or
+        #: ``("decide", tickets, requests, attempts)`` or
         #: ``("swap", predictor, attempts)`` -- the tag keeps a
         #: respawn-and-replay faithful to the original verb sequence,
         #: so batches sent before a swap are still decided by the old
         #: model even across a worker crash.
         self._inflight: dict[int, tuple] = {}
-        self._ready: list[tuple[list[int], list[DecisionResponse]]] = []
+        self._ready: list[ShardResult] = []
         self.worker = PersistentWorker(
             shard_service_loop,
             args=(predictor, config),
             name=f"shard-{index}",
         )
 
-    def dispatch(
-        self,
-        tickets: list[int],
-        requests: list[DecisionRequest],
-        now: float,
-    ) -> None:
+    def dispatch(self, tickets: list[int], requests: list[DecisionRequest]) -> None:
         """Send a sub-batch to the worker without waiting for the pass."""
         while len(self._inflight) >= MAX_INFLIGHT_BATCHES:
             self._pump(block=True)
         seq = self._seq
         self._seq += 1
-        self._inflight[seq] = ("decide", now, list(tickets), list(requests), 1)
+        self._inflight[seq] = ("decide", list(tickets), list(requests), 1)
         try:
-            self.worker.send(("decide", seq, now, requests))
+            self.worker.send(("decide", seq, requests))
         except (BrokenPipeError, OSError):
             self._recover()
 
@@ -273,11 +252,7 @@ class ProcessShard:
         except (BrokenPipeError, OSError):
             self._recover()
 
-    def inflight(self) -> int:
-        """Batches dispatched but not yet collected."""
-        return len(self._inflight) + len(self._ready)
-
-    def collect(self) -> list[tuple[list[int], list[DecisionResponse]]]:
+    def collect(self) -> list[ShardResult]:
         """Finished batches whose replies have already arrived."""
         if not self._inflight and not self._ready:
             return []  # nothing pending: skip the pipe poll syscall
@@ -286,7 +261,7 @@ class ProcessShard:
         self._ready = []
         return ready
 
-    def drain(self) -> list[tuple[list[int], list[DecisionResponse]]]:
+    def drain(self) -> list[ShardResult]:
         """Block until every dispatched batch has been answered."""
         deadline = time.perf_counter() + DRAIN_TIMEOUT_S
         while self._inflight:
@@ -300,18 +275,6 @@ class ProcessShard:
         ready = self._ready
         self._ready = []
         return ready
-
-    def stats(self) -> tuple[ServiceStats, int]:
-        """Round-trip the worker's counters (drain first)."""
-        if self._inflight:
-            raise RuntimeError("stats requires a drained shard")
-        seq = self._seq
-        self._seq += 1
-        self.worker.send(("stats", seq))
-        while True:
-            reply = self.worker.recv()
-            if reply[0] == "stats" and reply[1] == seq:
-                return reply[2], reply[3]
 
     def close(self) -> None:
         """Stop the worker process."""
@@ -344,7 +307,7 @@ class ProcessShard:
         if verb == "ok":
             entry = self._inflight.pop(seq, None)
             if entry is not None:
-                self._ready.append((entry[2], reply[2]))
+                self._ready.append((entry[1], reply[2]))
         elif verb == "swapped":
             entry = self._inflight.pop(seq, None)
             if entry is not None:
@@ -354,8 +317,6 @@ class ProcessShard:
         elif verb == "error":
             self._inflight.pop(seq, None)
             raise JobError(f"shard {self.index}: worker error: {reply[2]}")
-        elif verb == "stats":  # stale stats reply after a recovery
-            pass
         else:
             raise JobError(f"shard {self.index}: unknown reply {verb!r}")
 
@@ -366,7 +327,7 @@ class ProcessShard:
             attempts = entry[-1]
             if attempts >= self.max_attempts:
                 what = (
-                    f"batch of {len(entry[2])}"
+                    f"batch of {len(entry[1])}"
                     if entry[0] == "decide"
                     else "model swap"
                 )
@@ -381,11 +342,9 @@ class ProcessShard:
         for seq, entry in retry:
             try:
                 if entry[0] == "decide":
-                    _, now, tickets, requests, attempts = entry
-                    self._inflight[seq] = (
-                        "decide", now, tickets, requests, attempts + 1
-                    )
-                    self.worker.send(("decide", seq, now, requests))
+                    _, tickets, requests, attempts = entry
+                    self._inflight[seq] = ("decide", tickets, requests, attempts + 1)
+                    self.worker.send(("decide", seq, requests))
                 else:
                     _, predictor, attempts = entry
                     self._inflight[seq] = ("swap", predictor, attempts + 1)

@@ -378,9 +378,9 @@ class _RegimeTemplate:
 
     budgets: list[float]
     instructions: list[float]
-    increments: np.ndarray
-    #: ``increments`` as a column vector, ready to broadcast into the
-    #: planning table without a per-regime reshape.
+    #: Per-step increments of the running totals, as a column vector
+    #: ready to broadcast into the planning table without a per-regime
+    #: reshape.
     increments_col: np.ndarray
     core_dynamic_w: float
     memory_w: float
@@ -698,12 +698,10 @@ class Engine:
             l2_misses_per_s=total_misses_per_s,
             temperature_c=device.thermal.soc_temperature_c,
         )
-        increment_array = np.array(increments)
         return _RegimeTemplate(
             budgets=budgets,
             instructions=instructions,
-            increments=increment_array,
-            increments_col=increment_array.reshape(-1, 1),
+            increments_col=np.array(increments).reshape(-1, 1),
             core_dynamic_w=base.core_dynamic_w,
             memory_w=base.memory_w,
             non_leakage_w=base.core_dynamic_w + base.memory_w,

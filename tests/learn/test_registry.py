@@ -88,6 +88,32 @@ class TestActivation:
         with pytest.raises(RegistryError):
             registry.activate(7)
 
+    @pytest.mark.parametrize("text", ["abc", "2.0", ""])
+    def test_non_integer_pointer_is_an_error(
+        self, registry, small_predictor, text
+    ):
+        registry.publish(small_predictor)
+        (registry.partition / "ACTIVE").write_text(f"{text}\n")
+        with pytest.raises(RegistryError, match=f"pointer '{text}'"):
+            registry.active_version()
+
+    @pytest.mark.parametrize("text", ["0", "-1"])
+    def test_non_positive_pointer_is_an_error(
+        self, registry, small_predictor, text
+    ):
+        registry.publish(small_predictor)
+        (registry.partition / "ACTIVE").write_text(f"{text}\n")
+        with pytest.raises(RegistryError, match=f"pointer '{text}'"):
+            registry.active_version()
+
+    def test_dangling_pointer_is_an_error(self, registry, small_predictor):
+        registry.publish(small_predictor)
+        (registry.partition / "ACTIVE").write_text("7\n")
+        with pytest.raises(RegistryError, match="pointer '7'.*unpublished"):
+            registry.active_version()
+        with pytest.raises(RegistryError, match="pointer '7'"):
+            registry.active_predictor()
+
     def test_missing_version_load_is_an_error(self, registry):
         with pytest.raises(RegistryError, match="not found"):
             registry.load(1)

@@ -11,7 +11,8 @@ from repro.learn.retrain import (
 )
 from repro.learn.shadow import ShadowScorer
 from repro.learn.telemetry import TelemetryStore, decision_record
-from repro.serve.service import DecisionRequest, DecisionService
+from repro.serve.fleet import DecisionService
+from repro.serve.service import DecisionRequest
 
 
 def _requests():

@@ -4,12 +4,8 @@ import pytest
 
 from repro.browser.pages import page_by_name
 from repro.learn.shadow import ShadowScorer, page_class
-from repro.serve.fleet import FleetConfig, FleetDecisionService
-from repro.serve.service import (
-    DecisionRequest,
-    DecisionService,
-    ServiceConfig,
-)
+from repro.serve.fleet import DecisionService, FleetConfig, FleetDecisionService
+from repro.serve.service import DecisionRequest, ServiceConfig
 
 
 def _request(device="phone-0", mpki=2.0, util=0.5, temp=48.0, page="amazon"):
@@ -66,7 +62,7 @@ class TestHotSwap:
             # tickets must still be answered by the old model.
             for request in requests:
                 responses.extend(fleet.submit(request, now=0.0))
-            fleet.swap_model(alt_predictor, now=0.0)
+            fleet.swap_model(alt_predictor)
             responses.extend(fleet.flush(now=1.0))
             assert len(responses) == len(requests)
             responses.sort(key=lambda r: r.request_id)
@@ -90,7 +86,7 @@ class TestHotSwap:
             [hit] = fleet.decide([request], now=0.5)
             assert hit.trace is not None and hit.trace.skipped
             assert hit.fopt_hz == first.fopt_hz == old[changed]
-            fleet.swap_model(alt_predictor, now=1.0)
+            fleet.swap_model(alt_predictor)
             # The anchor is gone: same vector re-evaluates on the new
             # model instead of replaying the old model's decision.
             [post] = fleet.decide([request], now=1.5)

@@ -14,7 +14,8 @@ import pytest
 
 from repro.browser.pages import page_by_name, page_names
 from repro.core.dora import DoraGovernor
-from repro.serve.service import DecisionRequest, DecisionService, ServiceConfig
+from repro.serve.fleet import DecisionService
+from repro.serve.service import DecisionRequest, ServiceConfig
 from repro.sim.governor import RunContext
 from repro.soc.counters import CoreCounters, CounterSample
 

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 import repro.runtime.pool as pool_module
 from repro.browser.pages import page_by_name
+from repro.core.ppw import select_fopt
 from repro.runtime.pool import FORCE_POOL_ENV
-from repro.serve.fleet import FleetConfig, FleetDecisionService, FleetStats
-from repro.serve.service import (
-    DecisionRequest,
+from repro.serve.fleet import (
     DecisionService,
-    ServiceConfig,
+    FleetConfig,
+    FleetDecisionService,
+    FleetStats,
 )
+from repro.serve.service import DecisionRequest, ServiceConfig
 
 
 class _Clock:
@@ -323,7 +325,7 @@ class TestServingSurface:
         [response] = fleet.submit(_request(deadline=0.02))
         assert not response.accepted
         assert response.trace is None
-        assert response.fopt_hz == fleet._fmax_hz
+        assert response.fopt_hz == fleet.decision.fmax_hz
         assert fleet.pending() == 0
         assert fleet.stats.rejected_total == 1
         assert fleet.registry.get("phone-0").rejections == 1
@@ -339,6 +341,99 @@ class TestServingSurface:
         assert [r.request_id for r in responses] == [0, 1, 2, 3]
         assert [r.device_id for r in responses] == ["a", "b", "c", "a"]
         assert [r.accepted for r in responses] == [True, False, True, True]
+
+
+#: The ask vectors the interleaving property draws from: re-drawing
+#: an index re-sends that exact vector (a skip-cache hit once it is
+#: the device's latest evaluated one), and two vectors carry a
+#: deadline below the model's load-time floor (rejected at admission).
+_VECTORS = (
+    _request("a", mpki=1.0),
+    _request("a", mpki=4.0),
+    _request("b", mpki=1.0, page="espn"),
+    _request("b", deadline=0.02),
+    _request("c", mpki=9.0, temp=60.0),
+    _request("c", mpki=9.0, temp=60.0, deadline=0.02),
+)
+
+#: One step per element: ``(op, vector index, clock advance)``.  A
+#: submit sends ``_VECTORS[index]``; a poll first advances the injected
+#: clock; a flush forces everything out.  Submits are drawn three times
+#: as often as the others so that batches fill.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("submit", "submit", "submit", "poll", "flush")),
+        st.integers(0, len(_VECTORS) - 1),
+        st.sampled_from((0.0, 0.002, 0.005, 0.02)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestInterleavings:
+    @given(
+        ops=_OPS,
+        max_batch_size=st.integers(1, 5),
+        skip_cache=st.booleans(),
+    )
+    def test_every_ticket_answered_once_with_the_scalar_fopt(
+        self, small_predictor, ops, max_batch_size, skip_cache
+    ):
+        """Property: any interleaving of submit, poll (the injected
+        clock advancing) and flush answers every ticket exactly once,
+        with the scalar oracle's fopt, and the router's counters add
+        up -- through DecisionService and through a one-worker fleet
+        with the skip cache on."""
+        clock = _Clock()
+        config = ServiceConfig(max_batch_size=max_batch_size, max_wait_s=0.005)
+        if skip_cache:
+            service = FleetDecisionService(
+                small_predictor,
+                FleetConfig(workers=1, service=config),
+                clock=clock,
+            )
+        else:
+            service = DecisionService(small_predictor, config, clock=clock)
+        submitted: list[int] = []
+        responses = []
+        with service:
+            for op, index, advance_s in ops:
+                if op == "submit":
+                    submitted.append(index)
+                    responses.extend(service.submit(_VECTORS[index]))
+                elif op == "poll":
+                    clock.now += advance_s
+                    responses.extend(service.poll())
+                else:
+                    responses.extend(service.flush())
+            responses.extend(service.flush())
+            stats = service.merged_stats()
+        assert sorted(r.request_id for r in responses) == list(
+            range(len(submitted))
+        )
+        for response in responses:
+            request = _VECTORS[submitted[response.request_id]]
+            table = small_predictor.prediction_table(
+                page_features=request.page,
+                corunner_mpki=request.corunner_mpki,
+                corunner_utilization=request.corunner_utilization,
+                temperature_c=request.temperature_c,
+            )
+            assert response.fopt_hz == (
+                select_fopt(table, request.deadline_s).freq_hz
+            )
+        evaluated = sum(
+            1 for r in responses if r.accepted and not r.trace.skipped
+        )
+        assert stats.requests_total == len(submitted)
+        assert stats.requests_total == (
+            stats.rejected_total + stats.skips_total + stats.accepted_total
+        )
+        assert stats.accepted_total == evaluated
+        assert stats.largest_batch <= max_batch_size
+        if not skip_cache:
+            assert stats.skips_total == 0
 
 
 class TestTelemetryAndLifecycle:

@@ -6,11 +6,8 @@ import pytest
 
 from repro.browser.pages import page_by_name
 from repro.models.performance_model import MIN_PREDICTED_LOAD_TIME_S
-from repro.serve.service import (
-    DecisionRequest,
-    DecisionService,
-    ServiceConfig,
-)
+from repro.serve.fleet import DecisionService
+from repro.serve.service import DecisionRequest, ServiceConfig
 
 
 class _Clock:
@@ -96,31 +93,31 @@ class TestAdmission:
         assert service.stats.rejected_total == 1
         # The answer is the highest candidate frequency (Algorithm 1's
         # infeasible fallback).
-        assert response.fopt_hz == max(service.kernel.freqs_hz)
+        assert response.fopt_hz == max(service.decision.kernel.freqs_hz)
 
     def test_margin_tightens_admission(self, small_predictor):
         # 0.06 s deadline passes with no margin (floor is 0.05 s) but
         # fails once a 20 % margin shrinks it to 0.048 s.
         lax = DecisionService(small_predictor)
-        assert lax.admits(_request(deadline=0.06))
+        assert lax.decision.admits(_request(deadline=0.06))
         margined = DecisionService(
             small_predictor, config=ServiceConfig(qos_margin=0.2)
         )
-        assert not margined.admits(_request(deadline=0.06))
+        assert not margined.decision.admits(_request(deadline=0.06))
 
     def test_exactly_at_the_floor_is_admitted(self, small_predictor):
         # Admission is >=, so a deadline equal to the predicted-load
         # floor is the tightest request that still gets a decision.
-        service = DecisionService(small_predictor)
+        decision = DecisionService(small_predictor).decision
         at_floor = _request(deadline=MIN_PREDICTED_LOAD_TIME_S)
-        assert service.effective_deadline_s(at_floor) == (
+        assert decision.effective_deadline_s(at_floor) == (
             MIN_PREDICTED_LOAD_TIME_S
         )
-        assert service.admits(at_floor)
+        assert decision.admits(at_floor)
         just_under = _request(
             deadline=math.nextafter(MIN_PREDICTED_LOAD_TIME_S, 0.0)
         )
-        assert not service.admits(just_under)
+        assert not decision.admits(just_under)
 
     def test_margin_boundary_lands_exactly_on_the_floor(
         self, small_predictor
@@ -128,14 +125,14 @@ class TestAdmission:
         # 0.1 s halved by a 50 % margin is exactly the 0.05 s floor in
         # binary floating point, so the boundary case is admitted; one
         # ulp less deadline is not.
-        service = DecisionService(
+        decision = DecisionService(
             small_predictor, config=ServiceConfig(qos_margin=0.5)
-        )
-        assert service.effective_deadline_s(_request(deadline=0.1)) == (
+        ).decision
+        assert decision.effective_deadline_s(_request(deadline=0.1)) == (
             MIN_PREDICTED_LOAD_TIME_S
         )
-        assert service.admits(_request(deadline=0.1))
-        assert not service.admits(
+        assert decision.admits(_request(deadline=0.1))
+        assert not decision.admits(
             _request(deadline=math.nextafter(0.1, 0.0))
         )
 

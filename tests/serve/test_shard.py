@@ -7,7 +7,8 @@ import pytest
 from repro.browser.pages import page_by_name
 from repro.runtime.jobs import JobError
 from repro.runtime.pool import FORCE_POOL_ENV
-from repro.serve.service import DecisionRequest, DecisionService, ServiceConfig
+from repro.serve.fleet import DecisionService
+from repro.serve.service import DecisionRequest, ServiceConfig
 from repro.serve.shard import ProcessShard, SerialShard, make_shards, shard_for
 
 
@@ -44,29 +45,19 @@ class TestShardFor:
 class TestSerialShard:
     def test_dispatch_then_collect_round_trip(self, small_predictor):
         shard = SerialShard(0, small_predictor, ServiceConfig())
-        shard.dispatch([10, 11], [_request("a"), _request("b")], now=0.0)
-        assert shard.inflight() == 1
-        [(tickets, responses)] = shard.collect()
+        shard.dispatch([10, 11], [_request("a"), _request("b")])
+        [(tickets, answers)] = shard.collect()
         assert tickets == [10, 11]
-        assert [r.accepted for r in responses] == [True, True]
-        assert shard.inflight() == 0
+        assert [trace.batch_size for _, trace in answers] == [2, 2]
         assert shard.collect() == []
 
     def test_answers_match_a_plain_service(self, small_predictor):
         requests = [_request(f"d{i}", mpki=float(i)) for i in range(6)]
         shard = SerialShard(0, small_predictor, ServiceConfig())
-        shard.dispatch(list(range(6)), requests, now=0.0)
-        [(_, responses)] = shard.drain()
+        shard.dispatch(list(range(6)), requests)
+        [(_, answers)] = shard.drain()
         expected = DecisionService(small_predictor).decide(requests, now=0.0)
-        assert [r.fopt_hz for r in responses] == [r.fopt_hz for r in expected]
-
-    def test_stats_report_the_backing_service(self, small_predictor):
-        shard = SerialShard(0, small_predictor, ServiceConfig())
-        shard.dispatch([0], [_request("a")], now=0.0)
-        shard.drain()
-        stats, sessions = shard.stats()
-        assert stats.batches_total == 1
-        assert sessions == 1
+        assert [fopt for fopt, _ in answers] == [r.fopt_hz for r in expected]
 
 
 @pytest.fixture
@@ -83,19 +74,19 @@ class TestProcessShard:
         requests = [_request(f"d{i}", mpki=float(i)) for i in range(5)]
         shard = self._shard(small_predictor)
         try:
-            shard.dispatch(list(range(5)), requests, now=0.0)
-            [(tickets, responses)] = shard.drain()
+            shard.dispatch(list(range(5)), requests)
+            [(tickets, answers)] = shard.drain()
         finally:
             shard.close()
         reference = DecisionService(small_predictor).decide(requests, now=0.0)
         assert tickets == [0, 1, 2, 3, 4]
-        assert [r.fopt_hz for r in responses] == [r.fopt_hz for r in reference]
+        assert [fopt for fopt, _ in answers] == [r.fopt_hz for r in reference]
 
     def test_worker_runs_in_another_process(self, small_predictor, force_pool):
         shard = self._shard(small_predictor)
         try:
             assert shard.worker._process.pid != os.getpid()
-            shard.dispatch([0], [_request()], now=0.0)
+            shard.dispatch([0], [_request()])
             shard.drain()
         finally:
             shard.close()
@@ -111,14 +102,14 @@ class TestProcessShard:
             # reference bits (retry is idempotent by construction).
             shard.worker._process.kill()
             shard.worker._process.join(5.0)
-            shard.dispatch(list(range(4)), requests, now=0.0)
-            [(tickets, responses)] = shard.drain()
+            shard.dispatch(list(range(4)), requests)
+            [(tickets, answers)] = shard.drain()
         finally:
             shard.close()
         reference = DecisionService(small_predictor).decide(requests, now=0.0)
         assert shard.restarts >= 1
         assert tickets == [0, 1, 2, 3]
-        assert [r.fopt_hz for r in responses] == [r.fopt_hz for r in reference]
+        assert [fopt for fopt, _ in answers] == [r.fopt_hz for r in reference]
 
     def test_crashes_exhaust_bounded_attempts(self, small_predictor, force_pool):
         shard = self._shard(small_predictor, max_attempts=1, backoff_s=0.0)
@@ -129,7 +120,7 @@ class TestProcessShard:
             # in drain (EOF on poll) depending on pipe buffering; both
             # must give up after the single allowed attempt.
             with pytest.raises(JobError, match="attempts"):
-                shard.dispatch([0], [_request()], now=0.0)
+                shard.dispatch([0], [_request()])
                 shard.drain()
         finally:
             shard.close()
@@ -139,22 +130,9 @@ class TestProcessShard:
         try:
             # A non-request payload makes the worker's decide raise; the
             # error comes back as a reply, not a hang or a crash.
-            shard.dispatch([0], [object()], now=0.0)
+            shard.dispatch([0], [object()])
             with pytest.raises(JobError, match="worker error"):
                 shard.drain()
-        finally:
-            shard.close()
-
-    def test_stats_demand_a_drained_shard(self, small_predictor, force_pool):
-        shard = self._shard(small_predictor)
-        try:
-            shard.dispatch([0], [_request()], now=0.0)
-            with pytest.raises(RuntimeError, match="drained"):
-                shard.stats()
-            shard.drain()
-            stats, sessions = shard.stats()
-            assert stats.batches_total == 1
-            assert sessions == 1
         finally:
             shard.close()
 
@@ -175,12 +153,12 @@ class TestModelSwap:
         new = DecisionService(alt_predictor).decide(requests, now=0.0)
         assert [r.fopt_hz for r in old] != [r.fopt_hz for r in new]
         shard = SerialShard(0, small_predictor, ServiceConfig())
-        shard.dispatch(list(range(6)), requests, now=0.0)
+        shard.dispatch(list(range(6)), requests)
         shard.swap(alt_predictor)
-        shard.dispatch(list(range(6, 12)), requests, now=1.0)
+        shard.dispatch(list(range(6, 12)), requests)
         [(_, before), (_, after)] = shard.drain()
-        assert [r.fopt_hz for r in before] == [r.fopt_hz for r in old]
-        assert [r.fopt_hz for r in after] == [r.fopt_hz for r in new]
+        assert [fopt for fopt, _ in before] == [r.fopt_hz for r in old]
+        assert [fopt for fopt, _ in after] == [r.fopt_hz for r in new]
 
     def test_pipe_swap_lands_behind_inflight_batches(
         self, small_predictor, alt_predictor, force_pool
@@ -192,15 +170,15 @@ class TestModelSwap:
         try:
             # The batch is in the pipe, not yet collected, when the swap
             # verb goes out; FIFO ordering must keep it on the old model.
-            shard.dispatch(list(range(6)), requests, now=0.0)
+            shard.dispatch(list(range(6)), requests)
             shard.swap(alt_predictor)
-            shard.dispatch(list(range(6, 12)), requests, now=1.0)
+            shard.dispatch(list(range(6, 12)), requests)
             results = shard.drain()
         finally:
             shard.close()
-        by_ticket = {tickets[0]: responses for tickets, responses in results}
-        assert [r.fopt_hz for r in by_ticket[0]] == [r.fopt_hz for r in old]
-        assert [r.fopt_hz for r in by_ticket[6]] == [r.fopt_hz for r in new]
+        by_ticket = {tickets[0]: answers for tickets, answers in results}
+        assert [fopt for fopt, _ in by_ticket[0]] == [r.fopt_hz for r in old]
+        assert [fopt for fopt, _ in by_ticket[6]] == [r.fopt_hz for r in new]
 
     def test_crash_recovery_replays_the_swap_in_order(
         self, small_predictor, alt_predictor, force_pool
@@ -210,9 +188,9 @@ class TestModelSwap:
         new = DecisionService(alt_predictor).decide(requests, now=0.0)
         shard = ProcessShard(0, small_predictor, ServiceConfig(), backoff_s=0.0)
         try:
-            shard.dispatch(list(range(6)), requests, now=0.0)
+            shard.dispatch(list(range(6)), requests)
             shard.swap(alt_predictor)
-            shard.dispatch(list(range(6, 12)), requests, now=1.0)
+            shard.dispatch(list(range(6, 12)), requests)
             # Kill the worker with all three verbs potentially unanswered:
             # recovery must replay batch, swap, batch in insertion order.
             shard.worker._process.kill()
@@ -221,9 +199,9 @@ class TestModelSwap:
         finally:
             shard.close()
         assert shard.restarts >= 1
-        by_ticket = {tickets[0]: responses for tickets, responses in results}
-        assert [r.fopt_hz for r in by_ticket[0]] == [r.fopt_hz for r in old]
-        assert [r.fopt_hz for r in by_ticket[6]] == [r.fopt_hz for r in new]
+        by_ticket = {tickets[0]: answers for tickets, answers in results}
+        assert [fopt for fopt, _ in by_ticket[0]] == [r.fopt_hz for r in old]
+        assert [fopt for fopt, _ in by_ticket[6]] == [r.fopt_hz for r in new]
 
 
 class TestMakeShards:
