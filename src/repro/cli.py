@@ -5,12 +5,11 @@ Commands:
 * ``list`` -- the available pages, co-runner kernels, and governors.
 * ``run`` -- load one page under a governor and print the measurement.
 * ``sweep`` -- fixed-frequency sweep of one workload (oracle analysis).
-* ``serve-bench`` -- benchmark the batched decision service against
-  the scalar per-request loop (latency percentiles, throughput,
-  speedup, fopt equivalence).
 * ``fleet-bench`` -- benchmark the sharded multi-process fleet service
   (shard workers + session-aware skip cache) against the
-  single-process batched service and the scalar loop.
+  single-process batched service and the scalar loop (latency
+  percentiles, throughput, speedups, fopt equivalence);
+  ``--workers 1 --no-skip-cache`` times the batched service alone.
 * ``sim-bench`` -- benchmark the regime-stepped simulator fast path
   against the per-step reference loop (per-case timings, campaign
   aggregate, result equivalence).
@@ -92,6 +91,55 @@ def _add_bench_flags(
     )
 
 
+def _add_replay_flags(
+    parser: argparse.ArgumentParser, requests_default: int
+) -> None:
+    """The replay flags ``fleet-bench`` and ``swap-bench`` share.
+
+    :func:`_loadgen_config` turns them into the replay parameters, and
+    ``--trace-combos`` sets the workloads :func:`_bench_workload`
+    harvests.
+    """
+    parser.add_argument("--devices", type=int, default=32)
+    parser.add_argument("--requests", type=int, default=requests_default)
+    parser.add_argument(
+        "--batch-size", type=int, default=64, help="per-shard flush-on-size"
+    )
+    parser.add_argument(
+        "--max-wait-ms", type=float, default=5.0, help="per-shard flush-on-wait"
+    )
+    parser.add_argument(
+        "--qps", type=float, default=5000.0, help="virtual arrival rate"
+    )
+    parser.add_argument(
+        "--qos-margin", type=float, default=0.0, help="deadline safety margin"
+    )
+    parser.add_argument(
+        "--revisit-period", type=int, default=16,
+        help="requests per device between counter refreshes "
+        "(drives the skip-cache hit rate; 0 disables revisits)",
+    )
+    parser.add_argument(
+        "--trace-combos", type=int, default=6,
+        help="suite workloads to harvest counter traces from",
+    )
+
+
+def _loadgen_config(args: argparse.Namespace):
+    """The :class:`~repro.serve.loadgen.LoadgenConfig` of the replay flags."""
+    from repro.serve.loadgen import LoadgenConfig
+
+    return LoadgenConfig(
+        devices=args.devices,
+        requests=args.requests,
+        target_qps=args.qps,
+        max_batch_size=args.batch_size,
+        max_wait_s=args.max_wait_ms / 1e3,
+        qos_margin=args.qos_margin,
+        revisit_period=args.revisit_period,
+    )
+
+
 def _smoke_training_config():
     """The CI-sized training campaign the bench smoke modes share."""
     from repro.models.training import TrainingConfig
@@ -119,7 +167,7 @@ def _bench_workload(args: argparse.Namespace):
         predictor = default_predictor(_smoke_training_config())
         return predictor, HarnessConfig(dt_s=0.004), all_combos()[:3]
     predictor = default_predictor()
-    combos = all_combos()[: getattr(args, "trace_combos", 6)]
+    combos = all_combos()[: args.trace_combos]
     return predictor, HarnessConfig(), combos
 
 
@@ -286,63 +334,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import LoadgenConfig, run_serve_bench
-
-    _setup_runtime(args)
-    predictor, harness, combos = _bench_workload(args)
-    config = LoadgenConfig(
-        devices=args.devices,
-        requests=args.requests,
-        target_qps=args.qps,
-        max_batch_size=args.batch_size,
-        max_wait_s=args.max_wait_ms / 1e3,
-        qos_margin=args.qos_margin,
-    )
-    result = run_serve_bench(
-        predictor,
-        config,
-        harness_config=harness,
-        combos=combos,
-        output_path=args.output,
-        repeats=args.repeats,
-    )
-    record = result.to_record(repeats=args.repeats)
-    latency = record["latency"]
-    print(f"requests    : {record['requests']} over {record['devices']} devices")
-    print(
-        f"batching    : {record['batches']} passes, "
-        f"mean {record['mean_batch_size']}, largest {record['largest_batch']}, "
-        f"{record['rejected']} rejected"
-    )
-    print(
-        f"latency     : p50 {latency['p50_ms']:.3f} ms, "
-        f"p95 {latency['p95_ms']:.3f} ms, p99 {latency['p99_ms']:.3f} ms"
-    )
-    print(f"throughput  : {record['throughput_rps']:.0f} decisions/s "
-          f"(scalar {record['scalar_rps']:.0f}/s, {record['speedup']:.1f}x)")
-    print(f"equivalence : {record['fopt_mismatches']} fopt mismatches vs scalar")
-    if args.output:
-        print(f"wrote {args.output}")
-    return 0 if record["fopt_mismatches"] == 0 else 1
-
-
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import LoadgenConfig, run_fleet_bench
+    from repro.serve.loadgen import run_fleet_bench
 
     predictor, harness, combos = _bench_workload(args)
-    config = LoadgenConfig(
-        devices=args.devices,
-        requests=args.requests,
-        target_qps=args.qps,
-        max_batch_size=args.batch_size,
-        max_wait_s=args.max_wait_ms / 1e3,
-        qos_margin=args.qos_margin,
-        revisit_period=args.revisit_period,
-    )
     result = run_fleet_bench(
         predictor,
-        config,
+        _loadgen_config(args),
         harness_config=harness,
         combos=combos,
         workers=args.workers,
@@ -424,22 +422,12 @@ def _cmd_sim_bench(args: argparse.Namespace) -> int:
 
 def _cmd_swap_bench(args: argparse.Namespace) -> int:
     from repro.learn.bench import run_swap_bench
-    from repro.serve.loadgen import LoadgenConfig
 
     _setup_runtime(args)
     predictor, harness, combos = _bench_workload(args)
-    config = LoadgenConfig(
-        devices=args.devices,
-        requests=args.requests,
-        target_qps=args.qps,
-        max_batch_size=args.batch_size,
-        max_wait_s=args.max_wait_ms / 1e3,
-        qos_margin=args.qos_margin,
-        revisit_period=args.revisit_period,
-    )
     result = run_swap_bench(
         predictor,
-        config,
+        _loadgen_config(args),
         harness_config=harness,
         combos=combos,
         workers=args.shards,
@@ -707,31 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(figures_parser)
     figures_parser.set_defaults(func=_cmd_figures)
 
-    serve_parser = commands.add_parser(
-        "serve-bench", help="benchmark the batched decision service"
-    )
-    serve_parser.add_argument("--devices", type=int, default=32)
-    serve_parser.add_argument("--requests", type=int, default=512)
-    serve_parser.add_argument(
-        "--batch-size", type=int, default=64, help="service flush-on-size"
-    )
-    serve_parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, help="service flush-on-wait"
-    )
-    serve_parser.add_argument(
-        "--qps", type=float, default=5000.0, help="virtual arrival rate"
-    )
-    serve_parser.add_argument(
-        "--qos-margin", type=float, default=0.0, help="deadline safety margin"
-    )
-    serve_parser.add_argument(
-        "--trace-combos", type=int, default=6,
-        help="suite workloads to harvest counter traces from",
-    )
-    _add_bench_flags(serve_parser, "BENCH_serve.json")
-    _add_workers_flag(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve_bench)
-
     fleet_parser = commands.add_parser(
         "fleet-bench",
         help="benchmark the sharded fleet service with skip cache",
@@ -740,25 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, metavar="N",
         help="shard count (worker processes when the host allows)",
     )
-    fleet_parser.add_argument("--devices", type=int, default=32)
-    fleet_parser.add_argument("--requests", type=int, default=4096)
-    fleet_parser.add_argument(
-        "--batch-size", type=int, default=64, help="per-shard flush-on-size"
-    )
-    fleet_parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, help="per-shard flush-on-wait"
-    )
-    fleet_parser.add_argument(
-        "--qps", type=float, default=5000.0, help="virtual arrival rate"
-    )
-    fleet_parser.add_argument(
-        "--qos-margin", type=float, default=0.0, help="deadline safety margin"
-    )
-    fleet_parser.add_argument(
-        "--revisit-period", type=int, default=16,
-        help="requests per device between counter refreshes "
-        "(drives the skip-cache hit rate; 0 disables revisits)",
-    )
+    _add_replay_flags(fleet_parser, requests_default=4096)
     fleet_parser.add_argument(
         "--no-skip-cache", action="store_true",
         help="disable the session-aware skip cache",
@@ -768,13 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="absolute per-feature drift a skip hit may absorb",
     )
     fleet_parser.add_argument(
-        "--trace-combos", type=int, default=6,
-        help="suite workloads to harvest counter traces from",
-    )
-    fleet_parser.add_argument(
         "--twin", action="store_true",
-        help="drive the replay from a live digital-twin fleet "
-        "simulation (epoch-derived arrivals) instead of cached traces",
+        help="time each request's arrival by its device's decision "
+        "epoch in the fleet simulation instead of a uniform drip",
     )
     _add_bench_flags(fleet_parser, "BENCH_fleet.json")
     fleet_parser.set_defaults(func=_cmd_fleet_bench)
@@ -794,28 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=4, metavar="N",
         help="fleet shard count (worker processes when the host allows)",
     )
-    swap_parser.add_argument("--devices", type=int, default=32)
-    swap_parser.add_argument("--requests", type=int, default=2048)
-    swap_parser.add_argument(
-        "--batch-size", type=int, default=64, help="per-shard flush-on-size"
-    )
-    swap_parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, help="per-shard flush-on-wait"
-    )
-    swap_parser.add_argument(
-        "--qps", type=float, default=5000.0, help="virtual arrival rate"
-    )
-    swap_parser.add_argument(
-        "--qos-margin", type=float, default=0.0, help="deadline safety margin"
-    )
-    swap_parser.add_argument(
-        "--revisit-period", type=int, default=16,
-        help="requests per device between counter refreshes",
-    )
-    swap_parser.add_argument(
-        "--trace-combos", type=int, default=6,
-        help="suite workloads to harvest counter traces from",
-    )
+    _add_replay_flags(swap_parser, requests_default=2048)
     swap_parser.add_argument(
         "--work-dir", default=None, metavar="DIR",
         help="telemetry store + registry root (default: the repro cache)",

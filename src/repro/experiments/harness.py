@@ -151,15 +151,19 @@ def make_governor(
     raise KeyError(f"unknown governor {name!r}")
 
 
-def run_workload(
+def workload_engine(
     page_name: str,
     kernel_name: str | None,
     governor: Governor,
     config: HarnessConfig | None = None,
     record_trace: bool = False,
     deadline_s: float | None = None,
-) -> RunResult:
-    """Load one page under a governor (optionally with a co-runner)."""
+) -> Engine:
+    """The engine that loads one page under a governor, not yet run.
+
+    :func:`run_workload` runs it alone; the serving trace harvest runs
+    many through one :class:`~repro.sim.fleet_engine.FleetEngine`.
+    """
     config = config or HarnessConfig()
     device = Device(config.device)
     page = page_by_name(page_name)
@@ -171,7 +175,7 @@ def run_workload(
         deadline_s=deadline_s if deadline_s is not None else config.deadline_s,
         page_features=page.features,
     )
-    engine = Engine(
+    return Engine(
         device=device,
         tasks=tasks,
         governor=governor,
@@ -183,7 +187,20 @@ def run_workload(
             engine=config.engine,
         ),
     )
-    return engine.run()
+
+
+def run_workload(
+    page_name: str,
+    kernel_name: str | None,
+    governor: Governor,
+    config: HarnessConfig | None = None,
+    record_trace: bool = False,
+    deadline_s: float | None = None,
+) -> RunResult:
+    """Load one page under a governor (optionally with a co-runner)."""
+    return workload_engine(
+        page_name, kernel_name, governor, config, record_trace, deadline_s
+    ).run()
 
 
 def run_kernel_alone(

@@ -6,9 +6,9 @@ tables so the benchmark harness can print exactly the rows/series the
 paper reports.
 
 This module also owns :func:`bench_envelope`, the provenance block
-every benchmark JSON report (`serve-bench`, `fleet-bench`, `sim-bench`,
-`swap-bench`) attaches under its ``"envelope"`` key -- one schema
-instead of per-command ad-hoc metadata.
+every benchmark JSON report (`fleet-bench`, `sim-bench`, `swap-bench`)
+attaches under its ``"envelope"`` key -- one schema instead of
+per-command ad-hoc metadata.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Any, Iterable, Sequence
 BENCH_ENVELOPE_SCHEMA = "repro-bench-envelope/1"
 
 
-def git_revision() -> str:
-    """The repo's HEAD commit hash, or ``"unknown"`` outside a checkout."""
+def _git(*args: str) -> str | None:
+    """Stdout of a git command in this checkout, ``None`` if it failed."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
@@ -34,9 +34,14 @@ def git_revision() -> str:
             check=False,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    revision = out.stdout.strip()
-    return revision if out.returncode == 0 and revision else "unknown"
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_revision() -> str:
+    """The repo's HEAD commit hash, or ``"unknown"`` outside a checkout."""
+    revision = (_git("rev-parse", "HEAD") or "").strip()
+    return revision or "unknown"
 
 
 def bench_envelope(
@@ -48,21 +53,23 @@ def bench_envelope(
     top-level, so existing consumers keep reading the same shapes).
 
     Args:
-        command: The bench command name (``"serve-bench"`` etc.).
+        command: The bench command name (``"fleet-bench"`` etc.).
         repeats: Timed repetitions the report's numbers were taken
             over (best-of semantics are the command's business).
         extra: Optional command-specific additions merged in last.
 
     Returns:
-        ``{"schema", "command", "git_sha", "calibration",
+        ``{"schema", "command", "git_sha", "git_dirty", "calibration",
         "host_cpu_count", "degraded_host", "repeats", ...extra}``;
-        ``calibration`` is
-        :func:`repro.experiments.fingerprint.calibration_identity`.
-        ``degraded_host`` is true on single-CPU hosts, where
-        concurrency and vectorization speedups are structurally
-        unavailable -- comparisons against multi-core acceptance bars
-        (e.g. a sub-1.0 "speedup" in ``BENCH_runtime.json``) must not
-        be read as regressions.
+        ``git_dirty`` is whether tracked files differ from ``git_sha``
+        (``None`` when the commit is unknown), and ``calibration`` is
+        :func:`repro.experiments.fingerprint.calibration_identity`;
+        a live fingerprint that differs from the pinned one is warned
+        about on stderr.  ``degraded_host`` is true on single-CPU
+        hosts, where concurrency and vectorization speedups are
+        structurally unavailable -- comparisons against multi-core
+        acceptance bars (e.g. a sub-1.0 "speedup" in
+        ``BENCH_runtime.json``) must not be read as regressions.
     """
     from repro.experiments.fingerprint import calibration_identity
 
@@ -74,11 +81,26 @@ def bench_envelope(
             "envelope degraded_host; speedup bars do not apply here",
             file=sys.stderr,
         )
+    calibration = calibration_identity()
+    if calibration["fingerprint"] != calibration["pinned_fingerprint"]:
+        print(
+            f"warning: {command}: calibration fingerprint "
+            f"{calibration['fingerprint']} differs from the pinned "
+            f"{calibration['pinned_fingerprint']} -- the record's numbers "
+            "come from an unpinned calibration",
+            file=sys.stderr,
+        )
+    revision = git_revision()
+    dirty = None
+    if revision != "unknown":
+        status = _git("status", "--porcelain", "--untracked-files=no")
+        dirty = None if status is None else bool(status.strip())
     envelope: dict[str, Any] = {
         "schema": BENCH_ENVELOPE_SCHEMA,
         "command": command,
-        "git_sha": git_revision(),
-        "calibration": calibration_identity(),
+        "git_sha": revision,
+        "git_dirty": dirty,
+        "calibration": calibration,
         "host_cpu_count": cpu_count,
         "degraded_host": degraded,
         "repeats": repeats,

@@ -18,9 +18,11 @@ The package splits along those lines:
   Algorithm-1 decision pass (deadline-aware admission, one model pass
   and one selection per batch, per-request tracing).
 * :mod:`repro.serve.loadgen` -- a synthetic fleet driver that replays
-  counter traces harvested from the simulator and reports decision
-  latency percentiles and throughput (``BENCH_serve.json`` /
-  ``BENCH_fleet.json``).
+  counter traces harvested from the simulator, and the one serving
+  bench (:func:`~repro.serve.loadgen.run_fleet_bench`): decision
+  latency percentiles, throughput and fopt cross-checks against the
+  single-process service and the scalar loop (``BENCH_fleet.json``;
+  its one-shard, no-skip-cache run is ``BENCH_serve.json``).
 * :mod:`repro.serve.shard` -- device-hash partitioning and the shard
   worker protocol (one long-lived decision pass per worker process,
   built on :class:`repro.runtime.pool.PersistentWorker`).
@@ -65,10 +67,8 @@ _EXPORTS = {
     "LatencyStats": "repro.serve.loadgen",
     "LoadgenConfig": "repro.serve.loadgen",
     "LoadgenReport": "repro.serve.loadgen",
-    "ServeBenchResult": "repro.serve.loadgen",
     "harvest_traces": "repro.serve.loadgen",
     "request_stream": "repro.serve.loadgen",
-    "run_serve_bench": "repro.serve.loadgen",
     "run_fleet_bench": "repro.serve.loadgen",
     "scalar_decision_baseline": "repro.serve.loadgen",
 }

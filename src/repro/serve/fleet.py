@@ -210,8 +210,14 @@ class SkipCache:
         ):
             return  # a newer anchor already landed
         trace = response.trace
-        anchor = replace(
-            response,
+        # Direct construction, as in lookup; the newer-anchor check
+        # above reads the anchor's request_id.
+        anchor = DecisionResponse(
+            request_id=response.request_id,
+            device_id=response.device_id,
+            fopt_hz=response.fopt_hz,
+            accepted=True,
+            queue_delay_s=response.queue_delay_s,
             trace=DecisionTrace(
                 candidate_index=trace.candidate_index,
                 load_time_s=trace.load_time_s,

@@ -1,37 +1,32 @@
 """Synthetic fleet driver for the decision service.
 
 The generator replays *real* counter dynamics: it first harvests
-(MPKI, utilization, temperature) observation traces by running suite
-workloads through the simulator under a recording ``interactive``
-governor, then replays those traces as a fleet of N devices submitting
-decision requests at a target QPS.  Arrivals advance a virtual clock
-(so batching behaviour is deterministic and no wall time is wasted
-sleeping), while each request's decision latency -- submit call to
-response -- is measured on the wall clock.
+(MPKI, utilization, temperature) observation traces by simulating suite
+workloads under a recording ``interactive`` governor, then replays
+those traces as a fleet of N devices submitting decision requests at a
+target QPS.  Arrivals advance a virtual clock (so batching behaviour is
+deterministic and no wall time is wasted sleeping), while each
+request's decision latency -- submit call to response -- is measured
+on the wall clock.
 
-``run_serve_bench`` packages the whole thing: harvest, replay, a
-scalar per-request baseline over the identical stream, a full
-fopt-equality cross-check between the two, and a ``BENCH_serve.json``
-record with p50/p95/p99 latency, throughput and the batched-vs-scalar
-speedup.
+:func:`harvest_traces` simulates the whole combo population in one
+:class:`~repro.sim.fleet_engine.FleetEngine` pass -- the serving
+stack's *digital twin* -- and caches the traces.  Two arrival processes
+replay them:
 
-Two trace sources feed the replays:
+* :func:`request_stream` -- a uniform ``1 / target_qps`` virtual drip.
+* :func:`twin_request_schedule` -- each request arrives at its
+  observation's decision-epoch timestamp inside its device's own
+  trajectory, so the service sees the bursty arrival pattern a real
+  fleet produces instead of a uniform drip.  The request *contents*
+  equal the uniform stream's; only the arrival process differs.
 
-* :func:`harvest_traces` -- the original pre-harvested path: one
-  cached simulator run per combo, observations replayed on a uniform
-  virtual arrival clock.
-* :func:`twin_traces` + :func:`twin_request_schedule` -- the *digital
-  twin* path: the combo population is simulated live in one
-  :class:`~repro.sim.fleet_engine.FleetEngine` pass (never cached),
-  and each request's virtual arrival comes from its device's own
-  decision-epoch timestamp, so the service sees the bursty arrival
-  pattern a real fleet produces instead of a uniform drip.  Because
-  fleet rows are bit-identical to single-device runs, the twin's
-  request *contents* equal the harvested path's exactly -- only the
-  arrival process differs.  Each twin row runs through the engine's
-  solo regime-stepped loop, and the fleet engine's per-stage wall
-  breakdown (its ``regimes`` and ``scalar_steps`` stages) is exposed
-  for attribution.
+:func:`run_fleet_bench` packages the whole thing: harvest, replay
+through the sharded router and through one plain single-process
+service, a scalar per-request baseline over the identical stream, a
+full fopt-equality cross-check between the three, and a
+``BENCH_fleet.json`` record with p50/p95/p99 latency, throughput and
+the speedups.
 """
 
 from __future__ import annotations
@@ -44,22 +39,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.browser.browser import browser_tasks
 from repro.browser.dom import PageFeatures
 from repro.browser.pages import page_by_name
 from repro.core.governors import InteractiveGovernor
 from repro.core.ppw import select_fopt
 from repro.experiments.cache import memoized
-from repro.experiments.harness import HarnessConfig, run_workload
+from repro.experiments.harness import HarnessConfig, workload_engine
 from repro.experiments.suite import WorkloadCombo, all_combos
 from repro.serve.fleet import DecisionService, FleetConfig, FleetDecisionService
 from repro.serve.service import DecisionRequest, DecisionResponse, ServiceConfig
-from repro.sim.engine import Engine, EngineConfig
 from repro.sim.fleet_engine import FleetEngine
 from repro.sim.governor import Governor, RunContext
 from repro.soc.counters import CounterSample
-from repro.soc.device import Device
-from repro.workloads.kernels import kernel_by_name, kernel_task
 
 
 @dataclass(frozen=True)
@@ -142,22 +133,34 @@ def harvest_traces(
     config: HarnessConfig | None = None,
     max_observations: int = 64,
 ) -> list[DeviceTrace]:
-    """Run workloads under a recording governor and keep their counters.
+    """Simulate workloads under a recording governor and keep their counters.
 
     Each combo is loaded once under ``interactive`` (a model-free
     governor, so harvesting needs no trained bundle) and every decision
-    interval's (MPKI, utilization, temperature) triple is transcribed.
-    Results are cached: the harvest is a simulator campaign, not
-    something to repeat per bench run.
+    interval's (MPKI, utilization, temperature) triple is transcribed,
+    with the interval's timestamp for :func:`twin_request_schedule`.
+    Every combo's engine (built by
+    :func:`~repro.experiments.harness.workload_engine`, as
+    :func:`~repro.experiments.harness.run_workload` builds it) advances
+    in one :class:`~repro.sim.fleet_engine.FleetEngine` pass; fleet
+    rows are bit-identical to solo runs, so each trace equals that
+    combo's solo ``run_workload`` recording.  Results are cached: the
+    harvest is a simulator campaign, not something to repeat per bench
+    run.
     """
     config = config or HarnessConfig()
     combos = tuple(combos) if combos is not None else all_combos()[:6]
 
     def build() -> list[DeviceTrace]:
+        recorders = [_RecordingGovernor(InteractiveGovernor()) for _ in combos]
+        FleetEngine(
+            engines=[
+                workload_engine(combo.page_name, combo.kernel_name, recorder, config)
+                for combo, recorder in zip(combos, recorders)
+            ]
+        ).run()
         traces: list[DeviceTrace] = []
-        for combo in combos:
-            recorder = _RecordingGovernor(InteractiveGovernor())
-            run_workload(combo.page_name, combo.kernel_name, recorder, config)
+        for combo, recorder in zip(combos, recorders):
             observations = tuple(recorder.observations[:max_observations])
             if not observations:
                 observations = (_COLD_OBSERVATION,)
@@ -182,85 +185,6 @@ def harvest_traces(
         max_observations,
     )
     return memoized("serve-traces", key, build)
-
-
-def _twin_row_engine(
-    combo: WorkloadCombo, config: HarnessConfig, recorder: Governor
-) -> Engine:
-    """One fleet row built exactly as :func:`run_workload` builds it."""
-    device = Device(config.device)
-    page = page_by_name(combo.page_name)
-    tasks = browser_tasks(page).as_list()
-    if combo.kernel_name is not None:
-        tasks.append(kernel_task(kernel_by_name(combo.kernel_name)))
-    return Engine(
-        device=device,
-        tasks=tasks,
-        governor=recorder,
-        context=RunContext(
-            spec=device.spec,
-            deadline_s=config.deadline_s,
-            page_features=page.features,
-        ),
-        config=EngineConfig(
-            dt_s=config.dt_s, max_time_s=config.max_time_s, engine="fast"
-        ),
-    )
-
-
-def twin_traces(
-    combos: Sequence[WorkloadCombo] | None = None,
-    config: HarnessConfig | None = None,
-    max_observations: int = 64,
-    stage_seconds: dict[str, float] | None = None,
-) -> list[DeviceTrace]:
-    """Simulate the combo population live and keep its counters.
-
-    The digital-twin counterpart of :func:`harvest_traces`: the same
-    recording governor per combo, but every device advances in one
-    :class:`~repro.sim.fleet_engine.FleetEngine` pass, and
-    nothing is cached -- each call *is* a fresh fleet simulation.
-    Because fleet rows are bit-identical to single-device runs, the
-    returned observations equal the harvested path's exactly (asserted
-    by ``tests/serve/test_twin_loadgen.py``); what the twin adds is the
-    per-device decision-epoch timing that
-    :func:`twin_request_schedule` turns into live arrivals.
-
-    Pass a dict as ``stage_seconds`` to receive the fleet engine's
-    per-stage wall breakdown of the simulation
-    (:data:`repro.sim.fleet_engine._STAGES`), so twin-sourced benches
-    can attribute their trace-generation cost to the engine's bulk
-    regimes and single steps.
-    """
-    config = config or HarnessConfig()
-    combos = tuple(combos) if combos is not None else all_combos()[:6]
-    recorders = [_RecordingGovernor(InteractiveGovernor()) for _ in combos]
-    engines = [
-        _twin_row_engine(combo, config, recorder)
-        for combo, recorder in zip(combos, recorders)
-    ]
-    fleet = FleetEngine(
-        engines=engines,
-        clock=time.perf_counter if stage_seconds is not None else None,
-    )
-    fleet.run()
-    if stage_seconds is not None:
-        stage_seconds.update(fleet.stage_seconds)
-    traces: list[DeviceTrace] = []
-    for combo, recorder in zip(combos, recorders):
-        observations = tuple(recorder.observations[:max_observations])
-        if not observations:
-            observations = (_COLD_OBSERVATION,)
-        traces.append(
-            DeviceTrace(
-                page_name=combo.page_name,
-                kernel_name=combo.kernel_name,
-                page=page_by_name(combo.page_name).features,
-                deadline_s=config.deadline_s,
-                observations=observations,
-            )
-        )
-    return traces
 
 
 @dataclass(frozen=True)
@@ -324,19 +248,18 @@ class LoadgenConfig:
 _TIGHT_DEADLINE_S = 0.01
 
 
-def request_stream(
+def _timed_requests(
     traces: Sequence[DeviceTrace], config: LoadgenConfig
-) -> list[DecisionRequest]:
-    """The deterministic request sequence a replay submits.
+) -> list[tuple[float, DecisionRequest]]:
+    """Every request of a replay, in submission order, with its epoch.
 
-    Device ``d`` replays trace ``d % len(traces)``; its ``k``-th
-    request carries that trace's ``k``-th observation (cycling) -- or,
-    with ``revisit_period = p``, observation ``k // p``, so each
-    observation is re-submitted ``p`` times before the device moves on.
+    The epoch is the request's observation timestamp inside its
+    device's trajectory; cycling past a trace's end appends another
+    full trajectory span.
     """
     if not traces:
         raise ValueError("need at least one device trace")
-    requests: list[DecisionRequest] = []
+    timed: list[tuple[float, DecisionRequest]] = []
     for index in range(config.requests):
         device = index % config.devices
         trace = traces[device % len(traces)]
@@ -344,71 +267,17 @@ def request_stream(
         if config.revisit_period > 1:
             step //= config.revisit_period
         observation = trace.observation(step)
+        laps = step // len(trace.observations)
+        epoch_s = observation.time_s + trace.observations[-1].time_s * laps
         deadline_s = trace.deadline_s
         if (
             config.tight_deadline_every > 0
             and (index + 1) % config.tight_deadline_every == 0
         ):
             deadline_s = _TIGHT_DEADLINE_S
-        requests.append(
-            DecisionRequest(
-                device_id=f"device-{device:04d}",
-                page=trace.page,
-                corunner_mpki=observation.corunner_mpki,
-                corunner_utilization=observation.corunner_utilization,
-                temperature_c=observation.temperature_c,
-                deadline_s=deadline_s,
-            )
-        )
-    return requests
-
-
-def twin_request_schedule(
-    traces: Sequence[DeviceTrace], config: LoadgenConfig
-) -> list[tuple[float, DecisionRequest]]:
-    """Live fleet arrivals: requests timed by their devices' epochs.
-
-    Builds the same per-device request *contents* as
-    :func:`request_stream` (device ``d`` replays trace
-    ``d % len(traces)``, revisit semantics included), but instead of a
-    uniform ``1 / target_qps`` drip, each request's virtual arrival is
-    its observation's decision-epoch timestamp inside its device's own
-    trajectory (cycling past a trace's end appends another full
-    trajectory span).  The merged per-device timelines are then scaled
-    so the whole replay still spans ``requests / target_qps`` virtual
-    seconds -- same offered load, live burstiness: devices whose
-    decision epochs coincide arrive together, and revisit duplicates
-    arrive back-to-back with their window.
-
-    Returns:
-        ``(arrival_s, request)`` pairs in non-decreasing arrival order
-        (ties broken by submission index, so the order is fully
-        deterministic).
-    """
-    if not traces:
-        raise ValueError("need at least one device trace")
-    entries: list[tuple[float, int, DecisionRequest]] = []
-    for index in range(config.requests):
-        device = index % config.devices
-        trace = traces[device % len(traces)]
-        step = index // config.devices
-        if config.revisit_period > 1:
-            step //= config.revisit_period
-        count = len(trace.observations)
-        observation = trace.observations[step % count]
-        raw_s = observation.time_s + trace.observations[-1].time_s * (
-            step // count
-        )
-        deadline_s = trace.deadline_s
-        if (
-            config.tight_deadline_every > 0
-            and (index + 1) % config.tight_deadline_every == 0
-        ):
-            deadline_s = _TIGHT_DEADLINE_S
-        entries.append(
+        timed.append(
             (
-                raw_s,
-                index,
+                epoch_s,
                 DecisionRequest(
                     device_id=f"device-{device:04d}",
                     page=trace.page,
@@ -419,14 +288,48 @@ def twin_request_schedule(
                 ),
             )
         )
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    first_s = entries[0][0]
-    span_s = entries[-1][0] - first_s
+    return timed
+
+
+def request_stream(
+    traces: Sequence[DeviceTrace], config: LoadgenConfig
+) -> list[DecisionRequest]:
+    """The deterministic request sequence a replay submits.
+
+    Device ``d`` replays trace ``d % len(traces)``; its ``k``-th
+    request carries that trace's ``k``-th observation (cycling) -- or,
+    with ``revisit_period = p``, observation ``k // p``, so each
+    observation is re-submitted ``p`` times before the device moves on.
+    """
+    return [request for _, request in _timed_requests(traces, config)]
+
+
+def twin_request_schedule(
+    traces: Sequence[DeviceTrace], config: LoadgenConfig
+) -> list[tuple[float, DecisionRequest]]:
+    """Live fleet arrivals: requests timed by their devices' epochs.
+
+    Builds the same requests as :func:`request_stream`, but instead of
+    a uniform ``1 / target_qps`` drip, each request's virtual arrival
+    is its observation's decision-epoch timestamp inside its device's
+    own trajectory.  The merged per-device timelines are then scaled
+    so the whole replay still spans ``requests / target_qps`` virtual
+    seconds -- same offered load, live burstiness: devices whose
+    decision epochs coincide arrive together, and revisit duplicates
+    arrive back-to-back with their window.
+
+    Returns:
+        ``(arrival_s, request)`` pairs in non-decreasing arrival order
+        (ties broken by submission index, so the order is fully
+        deterministic).
+    """
+    # A stable sort: equal epochs keep their submission order.
+    timed = sorted(_timed_requests(traces, config), key=lambda entry: entry[0])
+    first_s = timed[0][0]
+    span_s = timed[-1][0] - first_s
     duration_s = config.requests / config.target_qps
     scale = duration_s / span_s if span_s > 0 else 0.0
-    return [
-        ((raw_s - first_s) * scale, request) for raw_s, _, request in entries
-    ]
+    return [((epoch_s - first_s) * scale, request) for epoch_s, request in timed]
 
 
 @dataclass(frozen=True)
@@ -638,116 +541,6 @@ def scalar_decision_baseline(
 
 
 @dataclass(frozen=True)
-class ServeBenchResult:
-    """A replay plus its scalar baseline and equivalence cross-check.
-
-    Attributes:
-        report: The batched replay's measurements.
-        scalar_s: Wall time of the scalar per-request loop.
-        scalar_rps: Scalar decisions per second.
-        speedup: Batched throughput over scalar throughput.
-        fopt_mismatches: Requests where batched and scalar fopt
-            disagree (must be zero; recorded, and asserted by the
-            bench suite).
-    """
-
-    report: LoadgenReport
-    scalar_s: float
-    scalar_rps: float
-    speedup: float
-    fopt_mismatches: int
-
-    def to_record(self, repeats: int = 1) -> dict:
-        """The ``BENCH_serve.json`` payload (envelope included)."""
-        from repro.experiments.reporting import bench_envelope
-
-        report = self.report
-        config = report.config
-        return {
-            "envelope": bench_envelope("serve-bench", repeats=repeats),
-            "devices": config.devices,
-            "requests": config.requests,
-            "target_qps": config.target_qps,
-            "max_batch_size": config.max_batch_size,
-            "max_wait_ms": round(config.max_wait_s * 1e3, 3),
-            "include_leakage": config.include_leakage,
-            "qos_margin": config.qos_margin,
-            "batches": report.batches,
-            "mean_batch_size": round(report.mean_batch_size, 2),
-            "largest_batch": report.largest_batch,
-            "rejected": report.rejected,
-            "latency": report.latency.to_record(),
-            "wall_s": round(report.wall_s, 4),
-            "throughput_rps": round(report.throughput_rps, 1),
-            "scalar_s": round(self.scalar_s, 4),
-            "scalar_rps": round(self.scalar_rps, 1),
-            "speedup": round(self.speedup, 2),
-            "fopt_mismatches": self.fopt_mismatches,
-        }
-
-
-def run_serve_bench(
-    predictor,
-    config: LoadgenConfig | None = None,
-    harness_config: HarnessConfig | None = None,
-    combos: Sequence[WorkloadCombo] | None = None,
-    output_path: str | Path | None = None,
-    repeats: int = 1,
-) -> ServeBenchResult:
-    """Harvest traces, replay them batched and scalar, write the record.
-
-    Args:
-        predictor: Trained bundle to serve.
-        config: Replay parameters.
-        harness_config: Simulator config for trace harvesting.
-        combos: Workloads to harvest (default: first six suite combos).
-        output_path: Where to write the JSON record (``None`` skips).
-        repeats: Timed replay repetitions (each on a fresh service);
-            the best-throughput one is reported.
-    """
-    config = config or LoadgenConfig()
-    harness_config = harness_config or HarnessConfig()
-    repeats = max(1, repeats)
-    traces = harvest_traces(combos=combos, config=harness_config)
-    requests = request_stream(traces, config)
-
-    report: LoadgenReport | None = None
-    for _ in range(repeats):
-        candidate = FleetLoadGenerator(predictor, config).run(traces)
-        if report is None or candidate.throughput_rps > report.throughput_rps:
-            report = candidate
-    assert report is not None
-
-    scalar_fopts, scalar_s = scalar_decision_baseline(
-        predictor,
-        requests,
-        include_leakage=config.include_leakage,
-        qos_margin=config.qos_margin,
-    )
-    scalar_rps = len(requests) / scalar_s if scalar_s > 0 else float("inf")
-    speedup = (
-        report.throughput_rps / scalar_rps if scalar_rps > 0 else float("inf")
-    )
-    mismatches = sum(
-        1
-        for served, scalar in zip(report.fopts_hz(), scalar_fopts)
-        if served != scalar
-    )
-    result = ServeBenchResult(
-        report=report,
-        scalar_s=scalar_s,
-        scalar_rps=scalar_rps,
-        speedup=speedup,
-        fopt_mismatches=mismatches,
-    )
-    if output_path is not None:
-        Path(output_path).write_text(
-            json.dumps(result.to_record(repeats=repeats), indent=2) + "\n"
-        )
-    return result
-
-
-@dataclass(frozen=True)
 class FleetBenchResult:
     """A sharded-fleet replay against its single-process and scalar twins.
 
@@ -770,8 +563,8 @@ class FleetBenchResult:
             single-process fopt disagree (must be zero).
         fopt_mismatches_vs_scalar: Requests where fleet and scalar
             fopt disagree (must be zero).
-        trace_source: ``"harvest"`` (cached traces, uniform arrivals)
-            or ``"twin"`` (live fleet simulation, epoch arrivals).
+        trace_source: ``"harvest"`` (uniform arrivals) or ``"twin"``
+            (epoch-derived arrivals).
     """
 
     fleet_report: LoadgenReport
@@ -846,12 +639,15 @@ def run_fleet_bench(
     through a sharded :class:`~repro.serve.fleet.FleetDecisionService`,
     through one plain :class:`DecisionService`, and through the scalar
     per-request loop; fopt is cross-checked bit-for-bit between all
-    three and the throughput ratios recorded.
+    three and the throughput ratios recorded.  With ``workers=1`` and
+    ``skip_cache=False`` the fleet replay is the one-shard router the
+    single-process replay also runs: the batched service against the
+    scalar loop.
 
     Args:
         predictor: Trained bundle to serve.
-        config: Replay parameters (default: the serve-bench defaults
-            with ``requests=4096`` and ``revisit_period=16`` -- a
+        config: Replay parameters (default: :class:`LoadgenConfig`'s
+            defaults with ``requests=4096`` and ``revisit_period=16`` -- a
             device polling at UI cadence against counter windows that
             refresh an order of magnitude slower re-submits each
             vector roughly that many times).
@@ -865,27 +661,24 @@ def run_fleet_bench(
         repeats: Timed repetitions of the fleet and single-process
             replays (each on a fresh service); the best-throughput run
             of each is reported.
-        trace_source: ``"harvest"`` replays cached traces on the
-            uniform virtual clock; ``"twin"`` simulates the combo
-            population live (:func:`twin_traces`) and replays on its
-            epoch-derived arrival schedule
+        trace_source: ``"harvest"`` replays the traces on the uniform
+            virtual clock (:func:`request_stream`); ``"twin"`` replays
+            them on their epoch-derived arrival schedule
             (:func:`twin_request_schedule`).  Request contents are
-            identical either way (fleet rows are bit-identical to the
-            harvest runs), so the zero-mismatch cross-checks hold for
-            both.
+            identical either way, so the zero-mismatch cross-checks
+            hold for both.
     """
     if trace_source not in ("harvest", "twin"):
         raise KeyError(f"unknown trace source {trace_source!r}")
     config = config or LoadgenConfig(requests=4096, revisit_period=16)
     harness_config = harness_config or HarnessConfig()
     repeats = max(1, repeats)
+    traces = harvest_traces(combos=combos, config=harness_config)
     schedule: list[tuple[float, DecisionRequest]] | None = None
     if trace_source == "twin":
-        traces = twin_traces(combos=combos, config=harness_config)
         schedule = twin_request_schedule(traces, config)
         requests = [request for _, request in schedule]
     else:
-        traces = harvest_traces(combos=combos, config=harness_config)
         requests = request_stream(traces, config)
 
     # Warm both code paths (kernel construction, NumPy dispatch) on a

@@ -26,17 +26,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.browser.browser import browser_tasks
-from repro.browser.pages import page_by_name
-from repro.core.governors import (
-    FixedFrequencyGovernor,
-    InteractiveGovernor,
-    OndemandGovernor,
-)
-from repro.sim.engine import Engine, EngineConfig, ReferenceEngine
-from repro.sim.governor import Governor, RunContext
-from repro.soc.device import Device
-from repro.workloads.kernels import kernel_by_name, kernel_task
+from repro.sim.fleet_engine import FleetRowSpec, build_row_engine
 
 
 @dataclass(frozen=True)
@@ -115,35 +105,6 @@ def smoke_slice() -> tuple[BenchCase, ...]:
     return (cases[0], cases[1], cases[6])
 
 
-def _build_governor(case: BenchCase) -> Governor:
-    if case.governor == "fixed":
-        if case.freq_hz is None:
-            raise ValueError(f"case {case.label!r} needs freq_hz")
-        return FixedFrequencyGovernor(freq_hz=case.freq_hz, label="fixed")
-    if case.governor == "interactive":
-        return InteractiveGovernor()
-    if case.governor == "ondemand":
-        return OndemandGovernor()
-    raise KeyError(f"unknown bench governor {case.governor!r}")
-
-
-def _build_engine(cls, case: BenchCase):
-    device = Device()
-    page = page_by_name(case.page)
-    tasks = browser_tasks(page).as_list()
-    if case.kernel is not None:
-        tasks.append(kernel_task(kernel_by_name(case.kernel)))
-    return cls(
-        device=device,
-        tasks=tasks,
-        governor=_build_governor(case),
-        context=RunContext(spec=device.spec, page_features=page.features),
-        config=EngineConfig(
-            dt_s=case.dt_s, max_time_s=60.0, record_trace=case.record_trace
-        ),
-    )
-
-
 def _assert_equivalent(case: BenchCase, ref, fast) -> None:
     """Cheap cross-check that both engines agree on this case.
 
@@ -175,8 +136,16 @@ def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float]:
     * The engines are timed in alternating rounds, so background load
       drift hits both and cancels out of the ratio.
     """
-    ref_engine = _build_engine(ReferenceEngine, case)
-    fast_engine = _build_engine(Engine, case)
+    spec = FleetRowSpec(
+        page=case.page,
+        kernel=case.kernel,
+        governor=case.governor,
+        freq_hz=case.freq_hz,
+        dt_s=case.dt_s,
+        record_trace=case.record_trace,
+    )
+    ref_engine = build_row_engine(spec, engine="reference")
+    fast_engine = build_row_engine(spec, engine="fast")
     ref_result = ref_engine.run()
     fast_result = fast_engine.run()
     _assert_equivalent(case, ref_result, fast_result)

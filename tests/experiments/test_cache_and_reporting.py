@@ -1,9 +1,20 @@
-"""Artifact cache and text-reporting tests."""
+"""Artifact cache, text-reporting and bench-envelope tests."""
+
+import subprocess
 
 import pytest
 
 from repro.experiments import cache as artifact_cache
-from repro.experiments.reporting import banner, format_table, frac, ghz, pct, seconds
+from repro.experiments import fingerprint, reporting
+from repro.experiments.reporting import (
+    banner,
+    bench_envelope,
+    format_table,
+    frac,
+    ghz,
+    pct,
+    seconds,
+)
 
 
 class TestArtifactCache:
@@ -79,3 +90,75 @@ class TestReporting:
 
     def test_banner_contains_title(self):
         assert "Fig. 7" in banner("Fig. 7")
+
+
+class TestBenchEnvelope:
+    @pytest.fixture
+    def git(self, monkeypatch):
+        """A stub git: ``head`` and ``status`` are the two commands'
+        stdout, and ``None`` makes that command fail."""
+        answers = {"head": "abc123\n", "status": ""}
+
+        def run(argv, **kwargs):
+            answer = answers["head" if argv[1] == "rev-parse" else "status"]
+            if answer is None:
+                return subprocess.CompletedProcess(argv, 128, "", "fatal")
+            return subprocess.CompletedProcess(argv, 0, answer, "")
+
+        monkeypatch.setattr(reporting.subprocess, "run", run)
+        return answers
+
+    def test_keys(self, git):
+        envelope = bench_envelope("fleet-bench", repeats=3, extra={"note": 1})
+        assert set(envelope) == {
+            "schema", "command", "git_sha", "git_dirty", "calibration",
+            "host_cpu_count", "degraded_host", "repeats", "note",
+        }
+        assert envelope["schema"] == "repro-bench-envelope/1"
+        assert envelope["command"] == "fleet-bench"
+        assert envelope["git_sha"] == "abc123"
+        assert envelope["repeats"] == 3
+        assert set(envelope["calibration"]) == {
+            "tag", "fingerprint", "pinned_fingerprint",
+        }
+
+    @pytest.mark.parametrize("cpus, degraded", [(1, True), (4, False)])
+    def test_degraded_host(self, git, monkeypatch, capsys, cpus, degraded):
+        monkeypatch.setattr(reporting.os, "cpu_count", lambda: cpus)
+        envelope = bench_envelope("sim-bench")
+        assert envelope["host_cpu_count"] == cpus
+        assert envelope["degraded_host"] is degraded
+        assert ("single-CPU host" in capsys.readouterr().err) is degraded
+
+    @pytest.mark.parametrize(
+        "head, status, dirty",
+        [
+            ("abc123\n", " M src/repro/cli.py\n", True),
+            ("abc123\n", "", False),
+            (None, "", None),
+        ],
+    )
+    def test_git_dirty(self, git, head, status, dirty):
+        git.update(head=head, status=status)
+        envelope = bench_envelope("fleet-bench")
+        assert envelope["git_dirty"] is dirty
+        assert (envelope["git_sha"] == "unknown") is (head is None)
+
+    def test_calibration_drift_is_warned(self, git, monkeypatch, capsys):
+        monkeypatch.setattr(
+            fingerprint,
+            "calibration_identity",
+            lambda: {
+                "tag": "t",
+                "fingerprint": "live0123",
+                "pinned_fingerprint": "pin4567",
+            },
+        )
+        envelope = bench_envelope("swap-bench")
+        err = capsys.readouterr().err
+        assert "live0123" in err and "pin4567" in err
+        assert envelope["calibration"]["fingerprint"] == "live0123"
+
+    def test_pinned_calibration_is_not_warned(self, git, capsys):
+        bench_envelope("swap-bench")
+        assert "calibration fingerprint" not in capsys.readouterr().err

@@ -3,7 +3,8 @@
 Unlike the end-to-end CLI tests (which assert on specific command
 output), these just drive each command with tiny configurations and a
 temporary cache directory -- the "does the wiring hold together"
-check, covering ``list``, ``run``, ``sweep`` and ``serve-bench``.
+check, covering ``list``, ``run``, ``sweep`` and ``fleet-bench``, and
+the replay flags ``fleet-bench`` and ``swap-bench`` share.
 """
 
 import json
@@ -11,7 +12,7 @@ import json
 import pytest
 
 import repro.api
-from repro.cli import build_parser, main
+from repro.cli import _bench_workload, _loadgen_config, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -44,11 +45,11 @@ def test_sweep_smoke(capsys):
     assert "fopt=" in capsys.readouterr().out
 
 
-def test_serve_bench_smoke(capsys, tmp_path):
+def test_fleet_bench_single_shard_smoke(capsys, tmp_path):
     output = tmp_path / "BENCH_serve.json"
     code = main([
-        "serve-bench", "--smoke",
-        "--devices", "4", "--requests", "64",
+        "fleet-bench", "--smoke", "--workers", "1", "--no-skip-cache",
+        "--devices", "4", "--requests", "64", "--revisit-period", "0",
         "--batch-size", "16", "--qps", "50000",
         "--output", str(output),
     ])
@@ -57,13 +58,26 @@ def test_serve_bench_smoke(capsys, tmp_path):
     assert "throughput" in out
     assert "0 fopt mismatches" in out
     record = json.loads(output.read_text())
-    assert record["fopt_mismatches"] == 0
+    assert record["fopt_mismatches_vs_scalar"] == 0
     assert record["requests"] == 64
     assert record["throughput_rps"] > 0
 
 
-def test_serve_bench_is_registered():
+def test_fleet_and_swap_bench_share_the_replay_flags():
     parser = build_parser()
-    args = parser.parse_args(["serve-bench", "--smoke"])
-    assert args.smoke
-    assert args.batch_size == 64  # default flush-on-size
+    fleet = parser.parse_args(
+        ["fleet-bench", "--max-wait-ms", "5", "--trace-combos", "2"]
+    )
+    swap = parser.parse_args(
+        ["swap-bench", "--max-wait-ms", "5", "--trace-combos", "4"]
+    )
+    fleet_config = _loadgen_config(fleet)
+    swap_config = _loadgen_config(swap)
+    assert (fleet_config.requests, swap_config.requests) == (4096, 2048)
+    for config in (fleet_config, swap_config):
+        assert config.revisit_period == 16
+        assert config.max_batch_size == 64  # default flush-on-size
+        assert config.max_wait_s == 0.005
+    assert len(_bench_workload(fleet)[2]) == 2
+    assert len(_bench_workload(swap)[2]) == 4
+    assert parser.parse_args(["fleet-bench", "--smoke"]).smoke

@@ -1,5 +1,7 @@
 """Fleet router: sharded equivalence, skip cache, telemetry, recovery."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +15,15 @@ from repro.serve.fleet import (
     FleetConfig,
     FleetDecisionService,
     FleetStats,
+    SkipCache,
 )
-from repro.serve.service import DecisionRequest, ServiceConfig
+from repro.serve.service import (
+    DecisionRequest,
+    DecisionResponse,
+    DecisionTrace,
+    ServiceConfig,
+)
+from repro.serve.sessions import SessionRegistry
 
 
 class _Clock:
@@ -133,6 +142,8 @@ class TestSkipCache:
             [hit] = fleet.decide([_request()], now=1.0)
             assert not first.trace.skipped
             assert hit.trace.skipped
+            assert hit.trace == replace(first.trace, skipped=True)
+            assert hit.device_id == first.device_id
             assert hit.fopt_hz == first.fopt_hz
             assert hit.request_id == 1  # the new ticket, not the anchor's
             assert hit.queue_delay_s == 0.0
@@ -174,6 +185,23 @@ class TestSkipCache:
             fleet.decide([_request(page="amazon")], now=0.0)
             [miss] = fleet.decide([_request(page="espn")], now=1.0)
             assert not miss.trace.skipped
+
+    def test_an_older_response_never_replaces_a_newer_anchor(self):
+        # Shards can answer out of ticket order; the anchor's ticket is
+        # what tells a late, older response from the newest one.
+        cache = SkipCache(SessionRegistry(clock=lambda: 0.0), tolerance=0.0)
+        trace = DecisionTrace(
+            candidate_index=0, load_time_s=1.0, power_w=2.0, ppw=0.5,
+            effective_deadline_s=3.0, feasible=True, batch_size=2,
+        )
+        for ticket, fopt_hz in ((5, 2.0e9), (3, 1.0e9)):
+            response = DecisionResponse(
+                request_id=ticket, device_id="phone-0", fopt_hz=fopt_hz,
+                accepted=True, trace=trace,
+            )
+            cache.store(_request(mpki=float(ticket)), response, now=0.0)
+        anchor = cache.registry.get("phone-0").last_response
+        assert (anchor.request_id, anchor.fopt_hz) == (5, 2.0e9)
 
     def test_rejections_neither_anchor_nor_clobber(self, small_predictor):
         with _small_fleet(small_predictor) as fleet:

@@ -10,7 +10,7 @@ from repro.serve.loadgen import (
     LoadgenConfig,
     harvest_traces,
     request_stream,
-    run_serve_bench,
+    run_fleet_bench,
     scalar_decision_baseline,
 )
 
@@ -183,30 +183,36 @@ class TestReplay:
 
 
 class TestBench:
-    def test_run_serve_bench_writes_the_record(
+    def test_single_shard_fleet_bench_writes_the_record(
         self, small_predictor, fast_config, tmp_path
     ):
+        # One shard without the skip cache: the batched service against
+        # the scalar loop.
         output = tmp_path / "BENCH_serve.json"
-        result = run_serve_bench(
+        result = run_fleet_bench(
             small_predictor,
             LoadgenConfig(
                 devices=4, requests=48, target_qps=50000, max_batch_size=16
             ),
             harness_config=fast_config,
             combos=all_combos()[:2],
+            workers=1,
+            skip_cache=False,
             output_path=output,
         )
-        assert result.fopt_mismatches == 0
+        assert result.fopt_mismatches_vs_scalar == 0
+        assert result.fopt_mismatches_vs_single == 0
         record = json.loads(output.read_text())
         for key in (
             "latency",
             "throughput_rps",
             "scalar_rps",
-            "speedup",
+            "speedup_vs_scalar",
             "mean_batch_size",
         ):
             assert key in record
         for percentile in ("p50_ms", "p95_ms", "p99_ms"):
             assert record["latency"][percentile] >= 0.0
         assert record["requests"] == 48
-        assert record["fopt_mismatches"] == 0
+        assert (record["workers"], record["skips"]) == (1, 0)
+        assert record["fopt_mismatches_vs_scalar"] == 0

@@ -1,9 +1,9 @@
-"""Digital-twin load source: live fleet traces into the service stack.
+"""Digital-twin load source: fleet-simulated traces into the service stack.
 
-The twin path must be a drop-in for the pre-harvested one: because
-fleet rows are bit-identical to single-device runs,
-:func:`~repro.serve.loadgen.twin_traces` reproduces
-:func:`~repro.serve.loadgen.harvest_traces` exactly, and replays over
+:func:`~repro.serve.loadgen.harvest_traces` simulates the combo
+population in one fleet pass.  Because fleet rows are bit-identical to
+single-device runs, its traces equal each combo's solo
+``run_workload`` recording exactly, and replays over
 :func:`~repro.serve.loadgen.twin_request_schedule` serve identical
 fopt streams -- only the virtual arrival process changes.
 """
@@ -12,50 +12,67 @@ import json
 
 import pytest
 
+from repro.browser.pages import page_by_name
+from repro.core.governors import InteractiveGovernor
+from repro.experiments.harness import run_workload
 from repro.experiments.suite import all_combos
 from repro.serve.loadgen import (
+    DeviceTrace,
     FleetLoadGenerator,
     LoadgenConfig,
+    _RecordingGovernor,
     harvest_traces,
     request_stream,
     run_fleet_bench,
     scalar_decision_baseline,
     twin_request_schedule,
-    twin_traces,
 )
 
 _COMBOS = all_combos()[:3]
 
 
+@pytest.fixture(autouse=True)
+def no_cache(monkeypatch):
+    # Every harvest below is a fresh fleet simulation, never a cached one.
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+
+
 @pytest.fixture(scope="module")
 def twin(fast_config):
-    return twin_traces(combos=_COMBOS, config=fast_config)
+    # Needs its own monkeypatch: the function-scoped autouse one is set
+    # up after module-scoped fixtures.
+    patcher = pytest.MonkeyPatch()
+    patcher.setenv("REPRO_NO_CACHE", "1")
+    try:
+        yield harvest_traces(combos=_COMBOS, config=fast_config)
+    finally:
+        patcher.undo()
 
 
 class TestTwinTraces:
     def test_matches_the_harvested_traces_exactly(self, fast_config, twin):
-        harvested = harvest_traces(combos=_COMBOS, config=fast_config)
-        assert twin == harvested
+        # The oracle: each combo harvested alone, one solo run_workload
+        # under the recording governor.
+        assert len(twin) == len(_COMBOS)
+        for combo, trace in zip(_COMBOS, twin):
+            recorder = _RecordingGovernor(InteractiveGovernor())
+            run_workload(combo.page_name, combo.kernel_name, recorder, fast_config)
+            assert trace == DeviceTrace(
+                page_name=combo.page_name,
+                kernel_name=combo.kernel_name,
+                page=page_by_name(combo.page_name).features,
+                deadline_s=fast_config.deadline_s,
+                observations=tuple(recorder.observations[:64]),
+            )
 
     def test_is_deterministic(self, fast_config, twin):
-        assert twin_traces(combos=_COMBOS, config=fast_config) == twin
+        assert harvest_traces(combos=_COMBOS, config=fast_config) == twin
 
     def test_observations_carry_live_timestamps(self, twin):
         for trace in twin:
             times = [obs.time_s for obs in trace.observations]
             assert times == sorted(times)
             assert times[-1] > 0.0
-
-    def test_exposes_the_fleet_stage_breakdown(self, fast_config, twin):
-        from repro.sim.fleet_engine import _STAGES
-
-        breakdown: dict[str, float] = {}
-        traces = twin_traces(
-            combos=_COMBOS, config=fast_config, stage_seconds=breakdown
-        )
-        assert traces == twin
-        assert set(breakdown) == set(_STAGES)
-        assert all(seconds >= 0.0 for seconds in breakdown.values())
 
 
 class TestTwinSchedule:
@@ -69,10 +86,10 @@ class TestTwinSchedule:
 
     def test_same_seed_same_request_stream(self, fast_config):
         first = twin_request_schedule(
-            twin_traces(combos=_COMBOS, config=fast_config), self.CONFIG
+            harvest_traces(combos=_COMBOS, config=fast_config), self.CONFIG
         )
         second = twin_request_schedule(
-            twin_traces(combos=_COMBOS, config=fast_config), self.CONFIG
+            harvest_traces(combos=_COMBOS, config=fast_config), self.CONFIG
         )
         assert first == second
 
@@ -86,12 +103,8 @@ class TestTwinSchedule:
             self.CONFIG.requests / self.CONFIG.target_qps
         )
 
-    def test_carries_the_harvest_streams_request_contents(
-        self, fast_config, twin
-    ):
-        harvested = request_stream(
-            harvest_traces(combos=_COMBOS, config=fast_config), self.CONFIG
-        )
+    def test_carries_the_harvest_streams_request_contents(self, twin):
+        harvested = request_stream(twin, self.CONFIG)
         scheduled = [request for _, request in twin_request_schedule(twin, self.CONFIG)]
 
         def key(request):
