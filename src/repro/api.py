@@ -27,7 +27,12 @@ from repro.experiments.cache import (
     memoized,
 )
 from repro.experiments.fingerprint import model_fingerprint, verify_calibration
-from repro.experiments.harness import HarnessConfig, make_governor, run_workload
+from repro.experiments.harness import (
+    GOVERNOR_NAMES,
+    HarnessConfig,
+    make_governor,
+    run_workload,
+)
 from repro.models.predictor import DoraPredictor
 from repro.models.training import (
     TrainedModels,
@@ -245,19 +250,17 @@ def quick_run(
         page: One of the 18 page names (e.g. ``"reddit"``).
         kernel: Optional co-runner (e.g. ``"backprop"``); ``None``
             loads the page alone.
-        governor: ``"DORA"``, ``"DORA_no_lkg"``, ``"interactive"``,
-            ``"performance"``, ``"powersave"``, ``"DL"`` or ``"EE"``
-            (case-insensitive).
+        governor: One of
+            :data:`~repro.experiments.harness.GOVERNOR_NAMES` (e.g.
+            ``"DORA"``, ``"interactive"`` or ``"ondemand"``),
+            case-insensitive.
         deadline_s: QoS target handed to model-based governors.
         record_trace: Keep per-step time series on the result.
 
     Returns:
         The engine's run result (load time, energy, PPW, trace).
     """
-    canonical = {name.lower(): name for name in (
-        "interactive", "performance", "powersave", "DL", "EE",
-        "DORA", "DORA_no_lkg",
-    )}
+    canonical = {name.lower(): name for name in GOVERNOR_NAMES}
     name = canonical.get(governor.lower())
     if name is None:
         raise KeyError(f"unknown governor {governor!r}")

@@ -120,8 +120,9 @@ def _add_replay_flags(
         "(drives the skip-cache hit rate; 0 disables revisits)",
     )
     parser.add_argument(
-        "--trace-combos", type=int, default=6,
-        help="suite workloads to harvest counter traces from",
+        "--trace-combos", type=int, default=None,
+        help="suite workloads to harvest counter traces from "
+        "(default: 3 with --smoke, else 6)",
     )
 
 
@@ -156,19 +157,21 @@ def _bench_workload(args: argparse.Namespace):
     """``(predictor, harness_config, combos)`` for the serving benches.
 
     ``--smoke`` swaps in the two-page training campaign, a coarse
-    engine step, and three harvested combos -- every layer exercised
-    in seconds.
+    engine step, and three harvested combos unless ``--trace-combos``
+    says otherwise -- every layer exercised in seconds.
     """
     from repro.api import default_predictor
     from repro.experiments.harness import HarnessConfig
     from repro.experiments.suite import all_combos
 
+    count = args.trace_combos
+    if count is None:
+        count = 3 if args.smoke else 6
+    combos = all_combos()[:count]
     if args.smoke:
         predictor = default_predictor(_smoke_training_config())
-        return predictor, HarnessConfig(dt_s=0.004), all_combos()[:3]
-    predictor = default_predictor()
-    combos = all_combos()[: args.trace_combos]
-    return predictor, HarnessConfig(), combos
+        return predictor, HarnessConfig(dt_s=0.004), combos
+    return default_predictor(), HarnessConfig(), combos
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.governors import PredictionProvider
+from repro.core.governors import PredictionProvider, counter_readings
 from repro.core.ppw import FrequencyPrediction, select_fopt
 from repro.sim.governor import Governor, RunContext
 from repro.soc.counters import CounterSample
@@ -82,14 +82,9 @@ class DoraGovernor(Governor):
     def _select(self, sample: CounterSample | None, context: RunContext) -> float:
         if context.page_features is None:
             raise ValueError("DORA needs the page census in the run context")
-        if sample is None:
-            mpki = 0.0
-            utilization = 0.0
-            temperature = 45.0
-        else:
-            mpki = sample.mpki_of_cores(list(context.corunner_cores))
-            utilization = sample.utilization_of_cores(list(context.corunner_cores))
-            temperature = sample.soc_temperature_c
+        mpki, utilization, temperature = counter_readings(
+            sample, context.corunner_cores
+        )
         table = self.predictor.prediction_table(
             page_features=context.page_features,
             corunner_mpki=mpki,

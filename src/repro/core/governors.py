@@ -22,7 +22,7 @@ paper frames them in Section V-C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from repro.browser.dom import PageFeatures
 from repro.core.ppw import FrequencyPrediction, find_fd, find_fe
@@ -46,6 +46,24 @@ class PredictionProvider(Protocol):
     ) -> list[FrequencyPrediction]:
         """Predicted (load time, power) at every candidate frequency."""
         ...
+
+
+def counter_readings(
+    sample: CounterSample | None, corunner_cores: Sequence[int]
+) -> tuple[float, float, float]:
+    """(co-runner MPKI, co-runner utilization, package temperature).
+
+    Before the first sample (``None``) interference is unobserved and
+    assumed absent, on a warm 45 C package.
+    """
+    if sample is None:
+        return 0.0, 0.0, 45.0
+    cores = list(corunner_cores)
+    return (
+        sample.mpki_of_cores(cores),
+        sample.utilization_of_cores(cores),
+        sample.soc_temperature_c,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -182,24 +200,16 @@ class _ModelBasedGovernor(Governor):
     def _table(
         self, sample: CounterSample | None, context: RunContext
     ) -> list[FrequencyPrediction]:
-        """Prediction table from the current observations.
-
-        Before the first sample (governor start), interference is
-        unobserved and assumed absent -- the first decision interval
-        corrects it.
-        """
+        """Prediction table from the current observations (see
+        :func:`counter_readings` for the readings before the first
+        sample)."""
         if context.page_features is None:
             raise ValueError(
                 "model-based governors need the page census in the run context"
             )
-        if sample is None:
-            mpki = 0.0
-            utilization = 0.0
-            temperature = 45.0
-        else:
-            mpki = sample.mpki_of_cores(list(context.corunner_cores))
-            utilization = sample.utilization_of_cores(list(context.corunner_cores))
-            temperature = sample.soc_temperature_c
+        mpki, utilization, temperature = counter_readings(
+            sample, context.corunner_cores
+        )
         return self.predictor.prediction_table(
             page_features=context.page_features,
             corunner_mpki=mpki,

@@ -61,7 +61,7 @@ from repro.workloads.classification import (
     classify_mpki,
     classify_page_load_time,
 )
-from repro.workloads.kernels import all_kernels, kernel_by_name
+from repro.workloads.kernels import all_kernels
 
 #: Paper defaults.
 DEADLINE_S = 3.0
@@ -1592,43 +1592,25 @@ def double_interference_study(
     ),
 ) -> DoubleInterferenceResult:
     """Run the browser against two simultaneous co-runners."""
-    from repro.browser.browser import browser_tasks
-    from repro.browser.pages import page_by_name
     from repro.core.dora import DoraGovernor
     from repro.core.governors import FixedFrequencyGovernor, InteractiveGovernor
     from repro.experiments.cache import memoized
-    from repro.sim.engine import Engine, EngineConfig
-    from repro.sim.governor import RunContext
-    from repro.soc.device import Device
-    from repro.workloads.kernels import kernel_by_name, kernel_task
+    from repro.sim.fleet_engine import build_engine
 
     predictor = predictor or default_predictor()
     config = config or HarnessConfig()
 
     def run(page_name: str, kernels: tuple[str, str], governor):
-        device = Device(config.device)
-        page = page_by_name(page_name)
-        tasks = browser_tasks(page).as_list()
-        tasks.append(kernel_task(kernel_by_name(kernels[0]), core=2))
-        tasks.append(kernel_task(kernel_by_name(kernels[1]), core=3))
-        context = RunContext(
-            spec=device.spec,
+        return build_engine(
+            page_name,
+            kernels,
+            governor,
+            dt_s=config.dt_s,
+            max_time_s=config.max_time_s,
+            device_config=config.device,
             deadline_s=config.deadline_s,
-            page_features=page.features,
-            corunner_cores=(2, 3),
-        )
-        engine = Engine(
-            device=device,
-            tasks=tasks,
-            governor=governor,
-            context=context,
-            config=EngineConfig(
-                dt_s=config.dt_s,
-                max_time_s=config.max_time_s,
-                record_trace=False,
-            ),
-        )
-        return engine.run()
+            engine=config.engine,
+        ).run()
 
     def build():
         rows = {}

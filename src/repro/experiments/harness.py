@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.browser.browser import browser_tasks
-from repro.browser.pages import page_by_name
+# Not called here (``build_engine`` assembles runs); kept as a by-name
+# re-export that perfbench's tracer test patches.
+from repro.browser.browser import browser_tasks  # noqa: F401
 from repro.core.dora import DoraGovernor
 from repro.core.governors import (
     DeadlineGovernor,
@@ -20,15 +21,17 @@ from repro.core.governors import (
     FixedFrequencyGovernor,
     InteractiveGovernor,
     OndemandGovernor,
+    performance_governor,
+    powersave_governor,
 )
 from repro.core.ppw import FrequencyPrediction, find_fd, find_fe, select_fopt
 from repro.experiments.cache import memoized
 from repro.experiments.suite import WorkloadCombo, all_combos
 from repro.models.predictor import DoraPredictor
-from repro.sim.engine import Engine, EngineConfig, RunResult
-from repro.sim.governor import Governor, RunContext
-from repro.soc.device import Device, DeviceConfig
-from repro.workloads.kernels import kernel_by_name, kernel_task
+from repro.sim.engine import Engine, RunResult
+from repro.sim.fleet_engine import build_engine
+from repro.sim.governor import Governor
+from repro.soc.device import DeviceConfig
 
 #: Governor names the harness can instantiate directly.
 GOVERNOR_NAMES = (
@@ -56,10 +59,10 @@ class HarnessConfig:
         max_time_s: Safety timeout per run.
         dora_interval_s: DORA's decision interval.
         device: Device configuration (ambient scenario, physics).
-        engine: Execution strategy passed to :class:`EngineConfig`
-            (``"fast"`` regime-stepped or ``"reference"`` per-step;
-            both produce bit-identical results, so cached artifacts
-            are shared between them).
+        engine: The ``engine`` every run is built with
+            (:func:`~repro.sim.fleet_engine.build_engine`): ``"fast"``
+            or ``"reference"``.  Both produce bit-identical results,
+            so cached artifacts are shared between them.
     """
 
     deadline_s: float = 3.0
@@ -129,13 +132,9 @@ def make_governor(
     if name == "ondemand":
         return OndemandGovernor()
     if name == "performance":
-        return FixedFrequencyGovernor(
-            freq_hz=spec.max_state.freq_hz, label="performance"
-        )
+        return performance_governor(spec.max_state.freq_hz)
     if name == "powersave":
-        return FixedFrequencyGovernor(
-            freq_hz=spec.min_state.freq_hz, label="powersave"
-        )
+        return powersave_governor(spec.min_state.freq_hz)
     if name in ("DL", "EE", "DORA", "DORA_no_lkg"):
         if predictor is None:
             raise ValueError(f"governor {name!r} needs trained models")
@@ -165,27 +164,16 @@ def workload_engine(
     many through one :class:`~repro.sim.fleet_engine.FleetEngine`.
     """
     config = config or HarnessConfig()
-    device = Device(config.device)
-    page = page_by_name(page_name)
-    tasks = browser_tasks(page).as_list()
-    if kernel_name is not None:
-        tasks.append(kernel_task(kernel_by_name(kernel_name)))
-    context = RunContext(
-        spec=device.spec,
+    return build_engine(
+        page_name,
+        () if kernel_name is None else (kernel_name,),
+        governor,
+        dt_s=config.dt_s,
+        max_time_s=config.max_time_s,
+        device_config=config.device,
         deadline_s=deadline_s if deadline_s is not None else config.deadline_s,
-        page_features=page.features,
-    )
-    return Engine(
-        device=device,
-        tasks=tasks,
-        governor=governor,
-        context=context,
-        config=EngineConfig(
-            dt_s=config.dt_s,
-            max_time_s=config.max_time_s,
-            record_trace=record_trace,
-            engine=config.engine,
-        ),
+        record_trace=record_trace,
+        engine=config.engine,
     )
 
 
@@ -211,22 +199,16 @@ def run_kernel_alone(
 ) -> RunResult:
     """Run a co-runner by itself for a fixed window (Fig. 2b's EO)."""
     config = config or HarnessConfig()
-    device = Device(config.device)
-    freq = freq_hz or device.spec.max_state.freq_hz
-    governor = FixedFrequencyGovernor(freq_hz=freq, label="fixed")
-    engine = Engine(
-        device=device,
-        tasks=[kernel_task(kernel_by_name(kernel_name))],
-        governor=governor,
-        context=RunContext(spec=device.spec),
-        config=EngineConfig(
-            dt_s=config.dt_s,
-            max_time_s=duration_s,
-            record_trace=False,
-            engine=config.engine,
-        ),
-    )
-    return engine.run()
+    freq = freq_hz or config.device.spec.max_state.freq_hz
+    return build_engine(
+        None,
+        (kernel_name,),
+        FixedFrequencyGovernor(freq_hz=freq, label="fixed"),
+        dt_s=config.dt_s,
+        max_time_s=duration_s,
+        device_config=config.device,
+        engine=config.engine,
+    ).run()
 
 
 # ----------------------------------------------------------------------

@@ -45,12 +45,10 @@ def _expand(z: np.ndarray, surface: ResponseSurface) -> np.ndarray:
     n, k = z.shape
     columns = [np.ones((n, 1)), z]
     if surface in (ResponseSurface.INTERACTION, ResponseSurface.QUADRATIC):
-        cross = [
-            (z[:, i] * z[:, j])[:, None]
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-        columns.extend(cross)
+        # Every cross term ``z_i * z_j`` (i < j) in one product, in
+        # row-major pair order: (0, 1), (0, 2), ..., (k - 2, k - 1).
+        left, right = np.triu_indices(k, 1)
+        columns.append(z[:, left] * z[:, right])
     if surface is ResponseSurface.QUADRATIC:
         columns.append(z**2)
     return np.hstack(columns)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.browser.browser import browser_tasks
 from repro.browser.pages import page_by_name
 from repro.core.governors import FixedFrequencyGovernor
 from repro.models.features import IndependentVariables
@@ -37,11 +36,10 @@ from repro.models.performance_model import PiecewiseLoadTimeModel
 from repro.models.power_model import DynamicPowerModel
 from repro.models.predictor import DoraPredictor
 from repro.models.regression import ResponseSurface
-from repro.sim.engine import Engine, EngineConfig, RunResult
-from repro.sim.governor import RunContext
+from repro.sim.engine import RunResult
+from repro.sim.fleet_engine import build_engine
 from repro.sim.measurement import observe
-from repro.soc.device import Device, DeviceConfig
-from repro.workloads.kernels import kernel_by_name, kernel_task
+from repro.soc.device import DeviceConfig
 
 
 @dataclass(frozen=True)
@@ -114,22 +112,13 @@ def measure_once(
     from), which cannot happen at sane timeouts but is handled for
     robustness.
     """
-    device = Device(device_config)
-    spec = device.spec
-    page = page_by_name(page_name)
-    tasks = browser_tasks(page).as_list()
-    if kernel_name is not None:
-        tasks.append(kernel_task(kernel_by_name(kernel_name)))
-    governor = FixedFrequencyGovernor(freq_hz=freq_hz, label="campaign")
-    context = RunContext(spec=spec, page_features=page.features)
-    engine = Engine(
-        device=device,
-        tasks=tasks,
-        governor=governor,
-        context=context,
-        config=EngineConfig(
-            dt_s=config.dt_s, max_time_s=config.max_time_s, record_trace=False
-        ),
+    engine = build_engine(
+        page_name,
+        () if kernel_name is None else (kernel_name,),
+        FixedFrequencyGovernor(freq_hz=freq_hz, label="campaign"),
+        dt_s=config.dt_s,
+        max_time_s=config.max_time_s,
+        device_config=device_config,
     )
     result = engine.run()
     if result.load_time_s is None:
@@ -141,9 +130,9 @@ def measure_once(
         power_noise=config.power_noise,
     )
     mpki, utilization = corunner_signals(result, kernel_name)
-    state = spec.state_for(freq_hz)
+    state = engine.device.spec.state_for(freq_hz)
     row = IndependentVariables.build(
-        page=page.features,
+        page=page_by_name(page_name).features,
         l2_mpki=mpki,
         core_freq_hz=state.freq_hz,
         bus_freq_hz=state.bus_freq_hz,
@@ -225,8 +214,8 @@ def run_campaign(
     from repro.runtime import Job, run_jobs
 
     config = config or TrainingConfig()
-    device = Device(device_config)
-    freqs = config.freqs_hz or device.spec.frequencies_hz
+    spec = (device_config or DeviceConfig()).spec
+    freqs = config.freqs_hz or spec.frequencies_hz
     pairs = campaign_pairs(config)
 
     jobs = []

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.browser.dom import PageFeatures
 from repro.browser.pages import page_by_name
-from repro.core.governors import InteractiveGovernor
+from repro.core.governors import InteractiveGovernor, counter_readings
 from repro.core.ppw import select_fopt
 from repro.experiments.cache import memoized
 from repro.experiments.harness import HarnessConfig, workload_engine
@@ -70,11 +70,8 @@ class CounterObservation:
     temperature_c: float
 
 
-#: What a governor sees before its first counter window closes
-#: (mirrors DoraGovernor's no-sample defaults).
-_COLD_OBSERVATION = CounterObservation(
-    time_s=0.0, corunner_mpki=0.0, corunner_utilization=0.0, temperature_c=45.0
-)
+#: What a governor sees before its first counter window closes.
+_COLD_OBSERVATION = CounterObservation(0.0, *counter_readings(None, ()))
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,10 @@ class _RecordingGovernor(Governor):
         return self.inner.initial_frequency(context)
 
     def decide(self, sample: CounterSample, context: RunContext) -> float:
-        cores = list(context.corunner_cores)
         self.observations.append(
             CounterObservation(
-                time_s=context.elapsed_s,
-                corunner_mpki=sample.mpki_of_cores(cores),
-                corunner_utilization=sample.utilization_of_cores(cores),
-                temperature_c=sample.soc_temperature_c,
+                context.elapsed_s,
+                *counter_readings(sample, context.corunner_cores),
             )
         )
         return self.inner.decide(sample, context)

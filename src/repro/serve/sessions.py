@@ -17,9 +17,10 @@ Eviction is O(evicted), not O(active): every touch appends
 ``(last_seen_s, device_id)`` to a monotone deque, and
 :meth:`SessionRegistry.evict_expired` pops only the prefix that has
 aged past the TTL, lazily discarding entries superseded by a later
-touch.  A fleet poll over a million live sessions therefore costs a
-single deque-head comparison when nothing expired, instead of a full
-dictionary scan.
+touch.  :meth:`~repro.serve.fleet.FleetDecisionService.flush`, which
+evicts after every drain, therefore costs a single deque-head
+comparison over a million live sessions when nothing expired, instead
+of a full dictionary scan.
 """
 
 from __future__ import annotations

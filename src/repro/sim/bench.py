@@ -35,25 +35,27 @@ class BenchCase:
 
     Attributes:
         label: Display / record name.
-        page: Page to load.
-        kernel: Optional co-runner kernel.
-        governor: ``"fixed"``, ``"interactive"`` or ``"ondemand"``.
-        freq_hz: Operating point for fixed-frequency cases.
-        dt_s: Engine step.
-        record_trace: Keep per-step series (the campaign-slice cases
-            time with tracing on -- the acceptance configuration).
+        spec: The run, as a fleet row (the standard slice times with
+            tracing on -- the acceptance configuration).
         campaign: Whether the case counts toward the campaign-slice
             aggregate speedup.
     """
 
     label: str
-    page: str
-    kernel: str | None
-    governor: str
-    freq_hz: float | None = None
-    dt_s: float = 0.002
-    record_trace: bool = True
+    spec: FleetRowSpec
     campaign: bool = True
+
+
+def _case(
+    label: str, page: str, kernel: str | None, governor: str,
+    freq_hz: float | None = None, campaign: bool = True,
+) -> BenchCase:
+    """A slice case: the default device and step, tracing on."""
+    spec = FleetRowSpec(
+        page=page, kernel=kernel, governor=governor, freq_hz=freq_hz,
+        record_trace=True,
+    )
+    return BenchCase(label, spec, campaign)
 
 
 def standard_campaign_slice() -> tuple[BenchCase, ...]:
@@ -66,32 +68,32 @@ def standard_campaign_slice() -> tuple[BenchCase, ...]:
     baseline cases cover the utilization governors.
     """
     return (
-        BenchCase("amazon@729.6MHz", "amazon", None, "fixed", 729.6e6),
-        BenchCase(
+        _case("amazon@729.6MHz", "amazon", None, "fixed", 729.6e6),
+        _case(
             "amazon+backprop@1190.4MHz",
             "amazon", "backprop", "fixed", 1190.4e6,
         ),
-        BenchCase(
+        _case(
             "amazon+backprop@2265.6MHz",
             "amazon", "backprop", "fixed", 2265.6e6,
         ),
-        BenchCase(
+        _case(
             "espn+needleman-wunsch@1036.8MHz",
             "espn", "needleman-wunsch", "fixed", 1036.8e6,
         ),
-        BenchCase(
+        _case(
             "espn+needleman-wunsch@1728.0MHz",
             "espn", "needleman-wunsch", "fixed", 1728.0e6,
         ),
-        BenchCase(
+        _case(
             "aliexpress+srad@1958.4MHz",
             "aliexpress", "srad", "fixed", 1958.4e6,
         ),
-        BenchCase(
+        _case(
             "amazon~interactive", "amazon", None, "interactive",
             campaign=False,
         ),
-        BenchCase(
+        _case(
             "espn+needleman-wunsch~ondemand",
             "espn", "needleman-wunsch", "ondemand",
             campaign=False,
@@ -136,16 +138,8 @@ def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float]:
     * The engines are timed in alternating rounds, so background load
       drift hits both and cancels out of the ratio.
     """
-    spec = FleetRowSpec(
-        page=case.page,
-        kernel=case.kernel,
-        governor=case.governor,
-        freq_hz=case.freq_hz,
-        dt_s=case.dt_s,
-        record_trace=case.record_trace,
-    )
-    ref_engine = build_row_engine(spec, engine="reference")
-    fast_engine = build_row_engine(spec, engine="fast")
+    ref_engine = build_row_engine(case.spec, engine="reference")
+    fast_engine = build_row_engine(case.spec)
     ref_result = ref_engine.run()
     fast_result = fast_engine.run()
     _assert_equivalent(case, ref_result, fast_result)
@@ -157,7 +151,7 @@ def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float]:
         started = time.perf_counter()
         fast_engine.run()
         fast_best = min(fast_best, time.perf_counter() - started)
-    steps = int(round(ref_result.duration_s / case.dt_s))
+    steps = int(round(ref_result.duration_s / case.spec.dt_s))
     return steps, ref_best, fast_best
 
 
@@ -185,9 +179,9 @@ def run_engine_bench(
         rows.append(
             {
                 "label": case.label,
-                "governor": case.governor,
-                "dt_s": case.dt_s,
-                "record_trace": case.record_trace,
+                "governor": case.spec.governor,
+                "dt_s": case.spec.dt_s,
+                "record_trace": case.spec.record_trace,
                 "campaign": case.campaign,
                 "steps": steps,
                 "ref_ms": ref_s * 1e3,

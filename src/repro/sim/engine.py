@@ -23,10 +23,10 @@ finished, or at the safety timeout.
 
 Two execution strategies share these semantics:
 
-* The **reference loop** (:class:`ReferenceEngine`, or
-  ``EngineConfig(engine="reference")``) executes one dt per iteration --
-  the original, obviously-correct interpreter.
-* The **regime-stepped fast path** (the default) observes that between
+* The **reference loop** (:class:`ReferenceEngine`) executes one dt
+  per iteration, with no cross-run cache -- the original,
+  obviously-correct interpreter.
+* The **regime-stepped fast path** (:class:`Engine`) observes that between
   *events* -- a task phase boundary or completion, a governor decision
   boundary, a pending switch stall, the safety timeout -- the
   cache/bus/CPI equilibrium and therefore every per-step quantity
@@ -44,7 +44,7 @@ Two execution strategies share these semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class _LruCache:
         self.evictions = 0
         self._entries: dict = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key):
         entry = self._entries.pop(key, None)
         if entry is None:
@@ -122,10 +119,6 @@ class _LruCache:
             del entries[next(iter(entries))]
             self.evictions += 1
         entries[key] = value
-
-    def clear(self) -> None:
-        """Drop all entries (counters keep their lifetime totals)."""
-        self._entries.clear()
 
     def stats(self) -> dict[str, int]:
         """Lifetime counters plus the current fill level."""
@@ -167,24 +160,20 @@ class EngineConfig:
             default: traces exist for figures that plot behaviour over
             time; sweeps, training campaigns and classification never
             read them and opt out of the memory/required bookkeeping.
-        engine: ``"fast"`` (regime-stepped, the default) or
-            ``"reference"`` (the per-step loop).  Both produce
-            bit-identical results; the reference loop is the oracle the
-            equivalence suite checks the fast path against.
+
+    The execution strategy is the engine's type (:class:`Engine` or
+    :class:`ReferenceEngine`), not a field here.
     """
 
     dt_s: float = 0.002
     max_time_s: float = 30.0
     record_trace: bool = False
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
             raise ValueError("dt must be positive")
         if self.max_time_s <= self.dt_s:
             raise ValueError("max_time must exceed dt")
-        if self.engine not in ("fast", "reference"):
-            raise ValueError("engine must be 'fast' or 'reference'")
 
 
 @dataclass
@@ -348,9 +337,6 @@ class _LoopState:
     last_phase: dict[str, int]
     equilibrium_memo: dict
     regime_templates: dict
-    #: Reusable planning-table scratch, keyed by row count.  Regimes
-    #: overwrite every cell they read, so nothing carries over.
-    series_buffers: dict
     core_plan: CorePlan
     gating_ids: set[str]
     time_s: float = 0.0
@@ -392,7 +378,7 @@ class _RegimeTemplate:
 
 @dataclass
 class Engine:
-    """Drives one run: a device, a task set, and a governor."""
+    """Drives one run (device, tasks, governor) on the fast path."""
 
     device: Device
     tasks: list[Task]
@@ -403,14 +389,12 @@ class Engine:
     def run(self) -> RunResult:
         """Simulate until the gating tasks finish (or timeout)."""
         loop = self._begin()
-        fast = self.config.engine == "fast"
         max_time = self.config.max_time_s
         while loop.time_s < max_time:
-            if fast:
-                if loop.regime_cooldown:
-                    loop.regime_cooldown -= 1
-                elif self._run_regime(loop):
-                    continue
+            if loop.regime_cooldown:
+                loop.regime_cooldown -= 1
+            elif self._run_regime(loop):
+                continue
             if not self._step(loop):
                 break
         return self._finish(loop)
@@ -443,7 +427,6 @@ class Engine:
             # active phases); solve it once per combination and reuse.
             equilibrium_memo={},
             regime_templates={},
-            series_buffers={},
             core_plan=core_plan,
             gating_ids=set(core_plan.gating_task_ids),
         )
@@ -480,36 +463,36 @@ class Engine:
             tuple((task.task_id, task.phase_index) for task in running),
         )
         equilibrium = loop.equilibrium_memo.get(memo_key)
-        if equilibrium is not None:
-            return equilibrium
-        if self.config.engine == "fast":
-            shared_key = (
-                self.device.cache,
-                self.device.memory,
-                state.freq_hz,
-                state.bus_freq_hz,
-                tuple(task.current_phase for task in running),
-            )
-            cached = _EQUILIBRIUM_CACHE.get(shared_key)
-            if cached is None:
-                solved = _solve_equilibrium(self.device, state, running)
-                cached = (
-                    tuple(solved[0][task.task_id] for task in running),
-                    solved[1],
-                    solved[2],
-                )
-                if len(_EQUILIBRIUM_CACHE) >= _EQUILIBRIUM_CACHE_CAP:
-                    _EQUILIBRIUM_CACHE.clear()
-                _EQUILIBRIUM_CACHE[shared_key] = cached
-            per_task = {
-                task.task_id: cached[0][position]
-                for position, task in enumerate(running)
-            }
-            equilibrium = (per_task, cached[1], cached[2])
-        else:
-            equilibrium = _solve_equilibrium(self.device, state, running)
-        loop.equilibrium_memo[memo_key] = equilibrium
+        if equilibrium is None:
+            equilibrium = self._solve(state, running)
+            loop.equilibrium_memo[memo_key] = equilibrium
         return equilibrium
+
+    def _solve(self, state, running: list[Task]):
+        """The equilibrium, through the cross-run cache."""
+        shared_key = (
+            self.device.cache,
+            self.device.memory,
+            state.freq_hz,
+            state.bus_freq_hz,
+            tuple(task.current_phase for task in running),
+        )
+        cached = _EQUILIBRIUM_CACHE.get(shared_key)
+        if cached is None:
+            solved = _solve_equilibrium(self.device, state, running)
+            cached = (
+                tuple(solved[0][task.task_id] for task in running),
+                solved[1],
+                solved[2],
+            )
+            if len(_EQUILIBRIUM_CACHE) >= _EQUILIBRIUM_CACHE_CAP:
+                _EQUILIBRIUM_CACHE.clear()
+            _EQUILIBRIUM_CACHE[shared_key] = cached
+        per_task = {
+            task.task_id: cached[0][position]
+            for position, task in enumerate(running)
+        }
+        return per_task, cached[1], cached[2]
 
     def _decide(self, loop: _LoopState, state) -> None:
         """One governor decision point (shared by both paths)."""
@@ -800,16 +783,11 @@ class Engine:
                 window.l2_accesses,
                 window.l2_misses,
             ]
-        rows = len(bases)
-        buffer = loop.series_buffers.get(rows)
-        if buffer is None or buffer.shape[1] < n + 1:
-            buffer = np.empty((rows, max(n + 1, 64)))
-            loop.series_buffers[rows] = buffer
         # In-place resumed cumulative sums: column 0 carries the running
         # totals, every later column the per-step increment, and the
         # accumulate sweeps left to right -- the same strictly
         # sequential summation order as the scalar reference loop.
-        series = buffer[:, : n + 1]
+        series = np.empty((len(bases), n + 1))
         series[:, 0] = bases
         series[:, 1:] = template.increments_col
         np.add.accumulate(series, axis=1, out=series)
@@ -923,15 +901,23 @@ class Engine:
 
 @dataclass
 class ReferenceEngine(Engine):
-    """The engine locked to the per-step reference loop.
+    """The per-step reference loop: one dt per iteration, every
+    equilibrium solved within the run (no cross-run cache).
 
-    The behavioral oracle: the regime-stepped fast path must reproduce
-    this loop bit-for-bit.  Benchmarks and the equivalence suite
-    instantiate it directly; everyone else selects via
-    ``EngineConfig(engine=...)``.
+    The behavioral oracle: the regime-stepped fast path of
+    :class:`Engine` must reproduce this loop bit-for-bit.  The
+    equivalence suites and benchmarks instantiate it directly, and
+    :func:`~repro.sim.fleet_engine.build_engine` builds it for
+    ``engine="reference"``.
     """
 
     def run(self) -> RunResult:
-        if self.config.engine != "reference":
-            self.config = replace(self.config, engine="reference")
-        return super().run()
+        loop = self._begin()
+        max_time = self.config.max_time_s
+        while loop.time_s < max_time:
+            if not self._step(loop):
+                break
+        return self._finish(loop)
+
+    def _solve(self, state, running: list[Task]):
+        return _solve_equilibrium(self.device, state, running)

@@ -1,4 +1,6 @@
-"""Fleet simulation: a population of devices, run row by row.
+"""Run assembly and fleet simulation.
+
+:func:`build_engine` assembles every simulated run in the package.
 
 One :class:`~repro.sim.engine.Engine` advances one phone.  Campaigns,
 benchmarks and the serving stack's digital twin instead want
@@ -19,11 +21,16 @@ field-exactly (asserted by ``tests/sim/test_fleet_engine.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.sim.engine import Engine, EngineConfig, ReferenceEngine, RunResult
 from repro.sim.governor import Governor, RunContext
+from repro.sim.task import Task
+from repro.soc.device import Device, DeviceConfig
+from repro.soc.thermal import AmbientScenario
+
+_ENGINES = {"fast": Engine, "reference": ReferenceEngine}
 
 
 def _zero_clock() -> float:
@@ -77,10 +84,66 @@ class FleetRowSpec:
             raise ValueError("a 'fixed' row needs freq_hz")
 
 
+def build_engine(
+    page: str | None,
+    corunners: Sequence[str],
+    governor: Governor,
+    *,
+    dt_s: float,
+    max_time_s: float,
+    device_config: DeviceConfig | None = None,
+    deadline_s: float = 3.0,
+    record_trace: bool = False,
+    engine: str = "fast",
+) -> Engine:
+    """Assemble one run on a fresh device, not yet run.
+
+    The device loads ``page`` (or none: the run then lasts
+    ``max_time_s``) beside the ``corunners`` kernels, pinned to cores
+    2, 3, ... in order, which the context names as co-runner cores.
+    ``engine`` picks :class:`~repro.sim.engine.Engine` (``"fast"``) or
+    :class:`~repro.sim.engine.ReferenceEngine` (``"reference"``); both
+    produce bit-identical results.
+
+    Raises:
+        ValueError: For an unknown engine name.
+    """
+    # Imported here: the browser and workload packages import
+    # ``repro.sim.task``, so importing them up top would be a cycle.
+    from repro.browser.browser import browser_tasks
+    from repro.browser.pages import page_by_name
+    from repro.workloads.kernels import kernel_by_name, kernel_task
+
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be 'fast' or 'reference', not {engine!r}")
+    device = Device(device_config)
+    tasks: list[Task] = []
+    page_features = None
+    if page is not None:
+        loaded = page_by_name(page)
+        tasks = browser_tasks(loaded).as_list()
+        page_features = loaded.features
+    cores = tuple(range(2, 2 + len(corunners)))
+    for name, core in zip(corunners, cores):
+        tasks.append(kernel_task(kernel_by_name(name), core=core))
+    return _ENGINES[engine](
+        device=device,
+        tasks=tasks,
+        governor=governor,
+        context=RunContext(
+            spec=device.spec,
+            deadline_s=deadline_s,
+            page_features=page_features,
+            corunner_cores=cores,
+        ),
+        config=EngineConfig(
+            dt_s=dt_s, max_time_s=max_time_s, record_trace=record_trace
+        ),
+    )
+
+
 def _row_governor(spec: FleetRowSpec) -> Governor:
-    # Imported here (with the workload builders below) to keep this
-    # module importable from ``repro.sim`` without a cycle through the
-    # browser package, which itself imports ``repro.sim.task``.
+    # Imported here for the same reason as in ``build_engine``.
     from repro.core.governors import (
         FixedFrequencyGovernor,
         InteractiveGovernor,
@@ -99,41 +162,23 @@ def build_row_engine(spec: FleetRowSpec, engine: str = "fast") -> Engine:
     """Build the single-device engine a fleet row corresponds to.
 
     With ``engine="reference"`` this is the row's bit-exactness oracle:
-    the same device, tasks, governor and config, run through
-    :class:`~repro.sim.engine.ReferenceEngine`'s per-step loop.
+    the same run on :class:`~repro.sim.engine.ReferenceEngine`.
     """
-    from repro.browser.browser import browser_tasks
-    from repro.browser.pages import page_by_name
-    from repro.soc.device import Device, DeviceConfig
-    from repro.soc.thermal import AmbientScenario
-    from repro.workloads.kernels import kernel_by_name, kernel_task
-
     scenario = AmbientScenario(
         name=f"fleet-{spec.ambient_c:g}-{spec.initial_junction_c:g}",
         ambient_c=spec.ambient_c,
         initial_junction_c=spec.initial_junction_c,
     )
-    device = Device(DeviceConfig(ambient=scenario))
-    page = page_by_name(spec.page)
-    tasks = browser_tasks(page).as_list()
-    if spec.kernel is not None:
-        tasks.append(kernel_task(kernel_by_name(spec.kernel)))
-    cls = ReferenceEngine if engine == "reference" else Engine
-    return cls(
-        device=device,
-        tasks=tasks,
-        governor=_row_governor(spec),
-        context=RunContext(
-            spec=device.spec,
-            deadline_s=spec.deadline_s,
-            page_features=page.features,
-        ),
-        config=EngineConfig(
-            dt_s=spec.dt_s,
-            max_time_s=spec.max_time_s,
-            record_trace=spec.record_trace,
-            engine=engine,
-        ),
+    return build_engine(
+        spec.page,
+        () if spec.kernel is None else (spec.kernel,),
+        _row_governor(spec),
+        dt_s=spec.dt_s,
+        max_time_s=spec.max_time_s,
+        device_config=DeviceConfig(ambient=scenario),
+        deadline_s=spec.deadline_s,
+        record_trace=spec.record_trace,
+        engine=engine,
     )
 
 
@@ -195,15 +240,16 @@ class FleetEngine:
     """Runs a population of device simulations, one row at a time.
 
     Each row runs to completion through the regime-stepped loop of
-    :meth:`Engine.run`'s fast path, so its result is exactly the one
-    its engine produces alone.
+    :meth:`Engine.run`, so its result is exactly the one its engine
+    produces alone.
 
     Args:
         rows: Fleet row specs to build engines from.
         engines: Prebuilt engines to drive instead (exactly one of
-            ``rows`` / ``engines`` must be given).  Engines are
-            coerced to the fast path; each must be a distinct object
-            (rows own their mutable device/task state).
+            ``rows`` / ``engines`` must be given).  Each must be a
+            fast-path :class:`~repro.sim.engine.Engine` -- a
+            ``ReferenceEngine`` is the oracle and is rejected -- and a
+            distinct object (rows own their mutable device/task state).
         clock: Monotonic-seconds source for the per-stage timing in
             :attr:`stage_seconds` (e.g. ``time.perf_counter``).
             Simulation code never reads the wall clock itself; without
@@ -231,8 +277,6 @@ class FleetEngine:
                         "ReferenceEngine rows individually (they are "
                         "the oracle, not fleet material)"
                     )
-                if engine.config.engine != "fast":
-                    engine.config = replace(engine.config, engine="fast")
             if len({id(engine) for engine in built}) != len(built):
                 raise ValueError("each fleet row needs its own engine")
         if not built:

@@ -26,11 +26,10 @@ from repro.soc.thermal import AmbientScenario, ThermalModel, room_temperature
 # The static platform description and the physics models are frozen
 # dataclasses -- pure parameter bundles with no run state -- so every
 # device built from the same configuration can share one instance.
-# Identity-sharing matters beyond memory: the fleet engine groups rows
-# for batched governor decisions by spec identity, and the fast path's
-# cross-run template/equilibrium caches key on these objects, so shared
-# instances make a 256-row fleet's lookups hit one working set instead
-# of 256 disjoint ones.
+# Identity-sharing matters beyond memory: the fast path's cross-run
+# template/equilibrium caches key on these objects, so shared instances
+# make a 256-row fleet's lookups hit one working set instead of 256
+# disjoint ones.
 @lru_cache(maxsize=None)
 def _shared_nexus5_spec() -> PlatformSpec:
     return nexus5_spec()

@@ -79,12 +79,6 @@ class ThermalModel:
     ambient_c: float = 25.0
     soc_temperature_c: float = 48.0
     _core_power_w: dict[int, float] = field(default_factory=dict)
-    #: Memoized ``exp(-dt / tau)`` for the last ``(dt, tau)`` seen --
-    #: the engine steps with one fixed dt, so :meth:`step` would
-    #: otherwise recompute the same exponential every step.
-    _decay_dt_s: float = field(default=-1.0, init=False, repr=False)
-    _decay_tau_s: float = field(default=-1.0, init=False, repr=False)
-    _decay: float = field(default=1.0, init=False, repr=False)
 
     @classmethod
     def for_scenario(cls, scenario: AmbientScenario) -> "ThermalModel":
@@ -116,11 +110,7 @@ class ThermalModel:
         target_c = self.ambient_c + total_power_w * self.r_th_c_per_w
         # Exact integration of the first-order ODE over the step keeps
         # the model stable for any dt.
-        if dt_s != self._decay_dt_s or self.tau_s != self._decay_tau_s:
-            self._decay = math.exp(-dt_s / self.tau_s)
-            self._decay_dt_s = dt_s
-            self._decay_tau_s = self.tau_s
-        decay = self._decay
+        decay = math.exp(-dt_s / self.tau_s)
         self.soc_temperature_c = target_c + (self.soc_temperature_c - target_c) * decay
         if per_core_power_w is not None:
             self._core_power_w = dict(per_core_power_w)

@@ -7,6 +7,7 @@ paths deterministically.
 import pytest
 
 from repro.core.ppw import FrequencyPrediction
+from repro.experiments.figures import double_interference_study
 from repro.experiments.harness import (
     GOVERNOR_NAMES,
     HarnessConfig,
@@ -16,7 +17,9 @@ from repro.experiments.harness import (
     run_kernel_alone,
     run_workload,
     with_ambient,
+    workload_engine,
 )
+from repro.sim.engine import Engine, ReferenceEngine
 from repro.soc.thermal import low_ambient
 
 
@@ -109,6 +112,51 @@ class TestRunWorkload:
         cold = with_ambient(fast_config, low_ambient())
         assert cold.device.ambient.name == "low-ambient"
         assert fast_config.device.ambient.name == "room"
+
+
+class TestEngineSelection:
+    """``HarnessConfig.engine`` picks the engine of every harness run."""
+
+    REFERENCE = HarnessConfig(dt_s=0.004, engine="reference")
+
+    @pytest.fixture
+    def reference_runs(self, monkeypatch):
+        """The engines ``ReferenceEngine.run`` is called on."""
+        runs = []
+        run = ReferenceEngine.run
+
+        def spy(engine):
+            runs.append(engine)
+            return run(engine)
+
+        monkeypatch.setattr(ReferenceEngine, "run", spy)
+        return runs
+
+    def test_workload_engine(self):
+        governor = make_governor("performance", None, self.REFERENCE)
+        engine = workload_engine("amazon", "bfs", governor, self.REFERENCE)
+        assert type(engine) is ReferenceEngine
+        assert type(workload_engine("amazon", "bfs", governor)) is Engine
+
+    def test_run_kernel_alone(self, reference_runs):
+        run_kernel_alone("srad", duration_s=0.1, config=self.REFERENCE)
+        assert len(reference_runs) == 1
+
+    def test_double_interference_study(self, reference_runs, small_predictor):
+        double_interference_study(
+            small_predictor,
+            self.REFERENCE,
+            pages=("amazon",),
+            kernel_pairs=(("bfs", "backprop"),),
+        )
+        assert len(reference_runs) == 3  # DORA, interactive and fmax
+        assert all(e.context.corunner_cores == (2, 3) for e in reference_runs)
+
+    def test_unknown_engine_rejected(self):
+        config = HarnessConfig(engine="turbo")
+        governor = make_governor("performance", None, config)
+        with pytest.raises(ValueError, match="turbo"):
+            run_workload("amazon", None, governor, config)
 
 
 class TestRunSummary:

@@ -80,4 +80,9 @@ def test_fleet_and_swap_bench_share_the_replay_flags():
         assert config.max_wait_s == 0.005
     assert len(_bench_workload(fleet)[2]) == 2
     assert len(_bench_workload(swap)[2]) == 4
-    assert parser.parse_args(["fleet-bench", "--smoke"]).smoke
+    smoke = parser.parse_args(["fleet-bench", "--smoke"])
+    assert smoke.smoke
+    assert len(_bench_workload(smoke)[2]) == 3
+    # An explicit --trace-combos wins under --smoke too.
+    smoke_two = parser.parse_args(["fleet-bench", "--smoke", "--trace-combos", "2"])
+    assert len(_bench_workload(smoke_two)[2]) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.models.regression import (
     RegressionModel,
     ResponseSurface,
+    _expand,
     term_count,
 )
 
@@ -103,6 +104,32 @@ class TestTermCounts:
 
     def test_quadratic(self):
         assert term_count(9, ResponseSurface.QUADRATIC) == 10 + 36 + 9
+
+
+def _design_oracle(z, surface):
+    """The design matrix built one column at a time: the intercept, the
+    main effects, ``z_i * z_j`` for each pair ``i < j`` in row-major
+    order, then the squares."""
+    n, k = z.shape
+    columns = [np.ones(n)] + [z[:, i] for i in range(k)]
+    if surface is not ResponseSurface.LINEAR:
+        columns += [z[:, i] * z[:, j] for i in range(k) for j in range(i + 1, k)]
+    if surface is ResponseSurface.QUADRATIC:
+        columns += [z[:, i] ** 2 for i in range(k)]
+    return np.column_stack(columns)
+
+
+class TestDesignMatrix:
+    """The column layout the fitted coefficients are indexed by."""
+
+    @pytest.mark.parametrize("rows", [1, 8, 512])
+    @pytest.mark.parametrize("surface", list(ResponseSurface))
+    def test_matches_the_per_pair_oracle_byte_for_byte(self, surface, rows):
+        z = _random_inputs(n=rows, k=9, seed=rows)
+        design = _expand(z, surface)
+        expected = _design_oracle(z, surface)
+        assert design.shape == expected.shape == (rows, term_count(9, surface))
+        assert design.tobytes() == expected.tobytes()
 
 
 class TestRobustness:

@@ -2,17 +2,18 @@
 
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.browser.browser import browser_tasks
 from repro.browser.pages import page_by_name
 from repro.core.governors import FixedFrequencyGovernor
-from repro.sim.engine import Engine, EngineConfig
+from repro.sim.engine import Engine, EngineConfig, ReferenceEngine
 from repro.sim.governor import RunContext
 from repro.soc.device import Device
 from repro.workloads.kernels import kernel_by_name, kernel_task
 
 
 def _engine(page="amazon", kernel=None, freq=None, dt=0.002, max_time=60.0,
-            trace=True, governor=None):
+            trace=True, governor=None, cls=Engine):
     device = Device()
     spec = device.spec
     page_obj = page_by_name(page)
@@ -23,7 +24,7 @@ def _engine(page="amazon", kernel=None, freq=None, dt=0.002, max_time=60.0,
         freq_hz=freq or spec.max_state.freq_hz, label="fixed"
     )
     context = RunContext(spec=spec, page_features=page_obj.features)
-    return Engine(
+    return cls(
         device=device,
         tasks=tasks,
         governor=gov,
@@ -187,3 +188,31 @@ class TestGovernorInteraction:
         assert result.switch_count > 2
         assert result.switch_stall_s > 0.0
         assert result.switch_energy_j > 0.0
+
+
+class _Unreadable(dict):
+    """A cross-run cache that fails the test on any lookup."""
+
+    def get(self, key, default=None):
+        raise AssertionError("the cross-run equilibrium cache was read")
+
+    __getitem__ = __contains__ = get
+
+
+class TestReferenceEngine:
+    """The oracle is its own per-step loop, not a flag on the fast path."""
+
+    def test_never_runs_a_regime_or_reads_the_cross_run_cache(self, monkeypatch):
+        expected = _engine(kernel="backprop", trace=False).run()
+
+        def no_regimes(self, loop):
+            raise AssertionError("a regime was run")
+
+        monkeypatch.setattr(Engine, "_run_regime", no_regimes)
+        monkeypatch.setattr(engine_module, "_EQUILIBRIUM_CACHE", _Unreadable())
+        result = _engine(kernel="backprop", trace=False, cls=ReferenceEngine).run()
+        assert result.load_time_s == expected.load_time_s
+        assert result.energy_j == expected.energy_j
+        # The same patches do stop the fast path.
+        with pytest.raises(AssertionError, match="a regime was run"):
+            _engine(kernel="backprop", trace=False).run()

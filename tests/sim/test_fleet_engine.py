@@ -17,17 +17,18 @@ Two layers, mirroring ``test_engine_equivalence.py``:
 """
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import EngineConfig
+from repro.core.governors import InteractiveGovernor
+from repro.sim.engine import Engine, ReferenceEngine
 from repro.sim.fleet_engine import (
     _STAGES,
     FleetEngine,
     FleetRowSpec,
+    build_engine,
     build_row_engine,
     heterogeneous_fleet,
 )
@@ -87,6 +88,35 @@ class TestRowSpec:
             FleetRowSpec(page="amazon", governor="fixed")
 
 
+class TestBuildEngine:
+    def _build(self, page="amazon", corunners=(), engine="fast"):
+        return build_engine(
+            page, corunners, InteractiveGovernor(),
+            dt_s=0.002, max_time_s=1.0, engine=engine,
+        )
+
+    def test_corunners_land_on_cores_two_and_three(self):
+        engine = self._build(corunners=("bfs", "backprop"))
+        cores = {task.task_id: task.core for task in engine.tasks}
+        assert cores["kernel:bfs"] == 2
+        assert cores["kernel:backprop"] == 3
+        assert engine.context.corunner_cores == (2, 3)
+
+    def test_no_page_runs_only_the_corunners(self):
+        engine = self._build(page=None, corunners=("srad",))
+        assert [task.task_id for task in engine.tasks] == ["kernel:srad"]
+        assert engine.context.page_features is None
+        assert engine.run().duration_s == pytest.approx(1.0, abs=0.01)
+
+    def test_engine_name_picks_the_type(self):
+        assert type(self._build()) is Engine
+        assert type(self._build(engine="reference")) is ReferenceEngine
+
+    def test_rejects_an_unknown_engine(self):
+        with pytest.raises(ValueError, match="turbo"):
+            self._build(engine="turbo")
+
+
 class TestConstruction:
     def test_requires_exactly_one_source(self):
         spec = FleetRowSpec(page="amazon")
@@ -104,13 +134,6 @@ class TestConstruction:
         engine = build_row_engine(FleetRowSpec(page="amazon"))
         with pytest.raises(ValueError, match="its own engine"):
             FleetEngine(engines=[engine, engine])
-
-    def test_coerces_engines_to_the_fast_path(self):
-        engine = build_row_engine(FleetRowSpec(page="amazon"))
-        engine.config = replace(engine.config, engine="reference")
-        assert isinstance(engine.config, EngineConfig)
-        FleetEngine(engines=[engine])
-        assert engine.config.engine == "fast"
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError, match="at least one"):

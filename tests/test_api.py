@@ -25,6 +25,10 @@ class TestQuickRun:
         result = repro.quick_run("amazon", governor="dora_no_lkg")
         assert result.governor_name == "DORA_no_lkg"
 
+    def test_ondemand_resolves_like_every_listed_governor(self):
+        result = repro.quick_run("amazon", governor="ONDEMAND")
+        assert result.governor_name == "ondemand"
+
     def test_plain_governors_skip_training(self):
         result = repro.quick_run("amazon", governor="performance")
         assert result.governor_name == "performance"
