@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.experiments.reporting import write_bench_record
 from repro.sim.bench import run_engine_bench, standard_campaign_slice
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
@@ -24,8 +25,8 @@ def test_fast_engine_throughput():
     result = run_engine_bench(
         cases=standard_campaign_slice(),
         repeats=7,
-        output_path=BENCH_PATH,
     )
+    write_bench_record(BENCH_PATH, result)
     record = json.loads(BENCH_PATH.read_text())
 
     # Acceptance bar: the regime-stepped path clears 5x end-to-end on

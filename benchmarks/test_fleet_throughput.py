@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import HarnessConfig
+from repro.experiments.reporting import write_bench_record
 from repro.experiments.suite import all_combos
 from repro.models.training import TrainingConfig, run_campaign, train_models
 from repro.serve.loadgen import LoadgenConfig, run_fleet_bench
@@ -55,8 +56,8 @@ def test_fleet_throughput(bench_predictor):
         harness_config=HarnessConfig(dt_s=0.004),
         combos=all_combos()[:6],
         workers=4,
-        output_path=BENCH_PATH,
     )
+    write_bench_record(BENCH_PATH, result.to_record())
     record = json.loads(BENCH_PATH.read_text())
 
     # Bit-identity across the whole topology: fleet == single-process
@@ -66,10 +67,10 @@ def test_fleet_throughput(bench_predictor):
 
     # The revisit pattern produced real skip-cache traffic: 15 of
     # every 16 steady-state requests repeat the previous vector.
-    assert result.fleet_report.skips > 0
+    assert result.fleet_report.stats.skips_total > 0
     assert record["skip_rate"] > 0.5
     # The single-process baseline has no skip cache.
-    assert result.single_report.skips == 0
+    assert result.single_report.stats.skips_total == 0
 
     # Nothing crashed mid-bench.
     assert record["worker_restarts"] == 0

@@ -2,14 +2,14 @@
 
 Times a six-combo suite evaluation cold (``REPRO_NO_CACHE=1``) both
 serially and over four workers, records the measured speedup in
-``BENCH_runtime.json`` at the repo root, and — on machines with
-enough cores to make the bar meaningful — asserts the >= 2.5x
-acceptance threshold.
+``BENCH_runtime.json`` at the repo root (with the shared bench
+envelope, under the command name ``runtime-bench``: this bench runs
+only under pytest), and — on machines with enough cores to make the
+bar meaningful — asserts the >= 2.5x acceptance threshold.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import HarnessConfig, evaluate_suite
+from repro.experiments.reporting import bench_envelope, write_bench_record
 from repro.experiments.suite import WorkloadCombo
 from repro.models.training import TrainingConfig, run_campaign, train_models
 from repro.workloads.classification import MemoryIntensity
@@ -67,6 +68,7 @@ def test_parallel_suite_throughput(bench_predictor, monkeypatch):
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
 
     record = {
+        "envelope": bench_envelope("runtime-bench"),
         "combos": len(SIX_COMBOS),
         "governors": list(GOVERNORS),
         "dt_s": config.dt_s,
@@ -76,7 +78,7 @@ def test_parallel_suite_throughput(bench_predictor, monkeypatch):
         "workers": workers,
         "cpu_count": os.cpu_count(),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record(BENCH_PATH, record)
 
     # Parallelism must never change the numbers.
     for lhs, rhs in zip(serial, parallel):

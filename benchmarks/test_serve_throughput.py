@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import HarnessConfig
+from repro.experiments.reporting import write_bench_record
 from repro.experiments.suite import all_combos
 from repro.models.training import TrainingConfig, run_campaign, train_models
 from repro.serve.loadgen import LoadgenConfig, run_fleet_bench
@@ -52,8 +53,8 @@ def test_batched_service_throughput(bench_predictor):
         combos=all_combos()[:6],
         workers=1,
         skip_cache=False,
-        output_path=BENCH_PATH,
     )
+    write_bench_record(BENCH_PATH, result.to_record())
     record = json.loads(BENCH_PATH.read_text())
 
     # Every served fopt must equal the scalar answer -- bit-identical.
@@ -61,8 +62,8 @@ def test_batched_service_throughput(bench_predictor):
     assert result.fopt_mismatches_vs_single == 0
 
     # The replay actually exercised large batches.
-    assert result.fleet_report.largest_batch == 64
-    assert result.fleet_report.mean_batch_size >= 32
+    assert result.fleet_report.stats.largest_batch == 64
+    assert result.fleet_report.stats.mean_batch_size() >= 32
 
     # Acceptance bar: the vectorized batch path clears 5x the scalar
     # per-request loop.

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import HarnessConfig
+from repro.experiments.reporting import write_bench_record
 from repro.experiments.suite import all_combos
 from repro.learn.bench import run_swap_bench
 from repro.models.training import TrainingConfig, run_campaign, train_models
@@ -55,8 +56,8 @@ def test_swap_loop(bench_predictor, tmp_path):
         workers=2,
         work_dir=tmp_path,
         repeats=2,
-        output_path=BENCH_PATH,
     )
+    write_bench_record(BENCH_PATH, result.to_record(repeats=2))
     record = json.loads(BENCH_PATH.read_text())
 
     # Closed loop: the candidate was fit on the generating model's own

@@ -28,6 +28,12 @@ Commands:
 * ``lint`` -- static determinism & calibration analysis (rules
   R001..R006 of :mod:`repro.analysis`); non-zero exit on any finding
   not suppressed inline or grandfathered in ``lint-baseline.json``.
+
+Each ``*-bench`` command builds its record once, prints a summary of
+it, and with ``--output`` writes it through
+:func:`repro.experiments.reporting.write_bench_record`.  ``fleet-bench``
+and ``swap-bench`` drive their routers through one replay loop,
+:func:`repro.serve.loadgen.replay`.
 """
 
 from __future__ import annotations
@@ -337,6 +343,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_record(args: argparse.Namespace, record: dict) -> None:
+    """Write a bench command's record where ``--output`` asks."""
+    from repro.experiments.reporting import write_bench_record
+
+    if args.output:
+        write_bench_record(args.output, record)
+        print(f"wrote {args.output}")
+
+
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import run_fleet_bench
 
@@ -349,7 +364,6 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
         workers=args.workers,
         skip_cache=not args.no_skip_cache,
         skip_tolerance=args.skip_tolerance,
-        output_path=args.output,
         repeats=args.repeats,
         trace_source="twin" if args.twin else "harvest",
     )
@@ -389,8 +403,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
         f"equivalence : {record['fopt_mismatches_vs_single']} fopt mismatches "
         f"vs single, {record['fopt_mismatches_vs_scalar']} vs scalar"
     )
-    if args.output:
-        print(f"wrote {args.output}")
+    _write_record(args, record)
     return 0 if mismatches == 0 else 1
 
 
@@ -398,9 +411,7 @@ def _cmd_sim_bench(args: argparse.Namespace) -> int:
     from repro.sim.bench import run_engine_bench, smoke_slice
 
     cases = smoke_slice() if args.smoke else None
-    record = run_engine_bench(
-        cases=cases, repeats=args.repeats, output_path=args.output
-    )
+    record = run_engine_bench(cases=cases, repeats=args.repeats)
     print(f"{'case':<34} {'steps':>6} {'ref':>9} {'fast':>9} {'speedup':>8}")
     for row in record["cases"]:
         print(
@@ -418,8 +429,7 @@ def _cmd_sim_bench(args: argparse.Namespace) -> int:
         f"overall     : {overall['speedup']:.2f}x over {overall['cases']} "
         f"cases ({overall['ref_ms']:.1f}ms -> {overall['fast_ms']:.1f}ms)"
     )
-    if args.output:
-        print(f"wrote {args.output}")
+    _write_record(args, record)
     return 0
 
 
@@ -437,7 +447,6 @@ def _cmd_swap_bench(args: argparse.Namespace) -> int:
         work_dir=args.work_dir,
         repeats=args.repeats,
         promote_threshold=args.promote_threshold,
-        output_path=args.output,
     )
     record = result.to_record(repeats=args.repeats)
     retrain = record["retrain"]
@@ -467,8 +476,7 @@ def _cmd_swap_bench(args: argparse.Namespace) -> int:
         f"{swap['fopt_mismatches_vs_baseline']} fopt mismatches, "
         f"swap call {swap['swap_call_ms']:.2f} ms"
     )
-    if args.output:
-        print(f"wrote {args.output}")
+    _write_record(args, record)
     failed = (
         record["shadow_mismatches"] != 0
         or swap["dropped_tickets"] != 0

@@ -14,7 +14,7 @@ every figure after the first full run is cheap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -1210,13 +1210,7 @@ def decision_interval_study(
     config = config or HarnessConfig()
     by_interval = {}
     for interval in intervals_s:
-        interval_config = HarnessConfig(
-            deadline_s=config.deadline_s,
-            dt_s=config.dt_s,
-            max_time_s=config.max_time_s,
-            dora_interval_s=interval,
-            device=config.device,
-        )
+        interval_config = replace(config, dora_interval_s=interval)
         ratios = []
         misses = 0
         decision_counts = []

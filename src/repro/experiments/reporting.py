@@ -6,16 +6,19 @@ tables so the benchmark harness can print exactly the rows/series the
 paper reports.
 
 This module also owns :func:`bench_envelope`, the provenance block
-every benchmark JSON report (`fleet-bench`, `sim-bench`, `swap-bench`)
-attaches under its ``"envelope"`` key -- one schema instead of
-per-command ad-hoc metadata.
+every benchmark JSON report (`fleet-bench`, `sim-bench`, `swap-bench`
+and the runtime bench) attaches under its ``"envelope"`` key -- one
+schema instead of per-command ad-hoc metadata -- and
+:func:`write_bench_record`, the one writer of those reports.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 #: Schema tag of the shared benchmark-report envelope.
@@ -108,6 +111,24 @@ def bench_envelope(
     if extra:
         envelope.update(extra)
     return envelope
+
+
+def write_bench_record(path: str | Path, record: dict[str, Any]) -> None:
+    """Write one benchmark report as indented JSON.
+
+    Args:
+        path: Destination (``BENCH_<name>.json``).
+        record: The report, carrying its :func:`bench_envelope` under
+            ``"envelope"``.
+
+    Raises:
+        ValueError: When the record has no shared bench envelope.
+    """
+    envelope = record.get("envelope")
+    schema = envelope.get("schema") if isinstance(envelope, dict) else None
+    if schema != BENCH_ENVELOPE_SCHEMA:
+        raise ValueError(f"bench record lacks a {BENCH_ENVELOPE_SCHEMA} envelope")
+    Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
 
 def format_table(

@@ -19,17 +19,18 @@ One run exercises the whole closed loop and measures its cost:
    the replayed vectors, the fopt stream must stay bit-identical to
    the baseline.
 
-The ``BENCH_swap.json`` record carries all four phases plus the shared
-:func:`~repro.experiments.reporting.bench_envelope`.
+Every phase replays the same schedule through
+:func:`~repro.serve.loadgen.replay`.  The ``BENCH_swap.json`` record
+(:meth:`SwapBenchResult.to_record`) carries all four phases plus the
+shared :func:`~repro.experiments.reporting.bench_envelope`.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.experiments.harness import HarnessConfig
 from repro.experiments.reporting import bench_envelope
@@ -38,13 +39,14 @@ from repro.learn.registry import ModelRegistry
 from repro.learn.retrain import RetrainConfig, RetrainResult, retrain_from_telemetry
 from repro.learn.telemetry import TelemetryStore
 from repro.serve.loadgen import (
-    FleetLoadGenerator,
     LoadgenConfig,
     LoadgenReport,
+    fopt_mismatches,
     harvest_traces,
-    request_stream,
+    replay,
+    uniform_request_schedule,
 )
-from repro.serve.service import DecisionResponse
+from repro.serve.service import DecisionRequest
 
 
 @dataclass
@@ -53,23 +55,19 @@ class SwapPhaseResult:
 
     Attributes:
         swap_at_request: Stream index the swap was issued at.
-        responses: Total responses received (must equal requests).
+        report: The swapped replay's measurements.
         dropped_tickets: Submitted tickets that never came back.
         fopt_mismatches_vs_baseline: Positions where the swapped
             replay's fopt differs from the baseline replay's.
         swap_call_s: Wall time of the ``swap_model`` call itself.
-        wall_s: Wall time of the whole replay.
-        throughput_rps: Decisions per wall second.
         model_version_after: The fleet's version counter at the end.
     """
 
     swap_at_request: int
-    responses: int
+    report: LoadgenReport
     dropped_tickets: int
     fopt_mismatches_vs_baseline: int
     swap_call_s: float
-    wall_s: float
-    throughput_rps: float
     model_version_after: int
 
 
@@ -88,7 +86,6 @@ class SwapBenchResult:
         swap: The mid-stream hot-swap phase.
         telemetry_records: Records harvested into the store.
         workers: Fleet shard count.
-        mode: Execution vehicle the runtime chose.
     """
 
     baseline_report: LoadgenReport
@@ -100,7 +97,6 @@ class SwapBenchResult:
     swap: SwapPhaseResult
     telemetry_records: int
     workers: int
-    mode: str
 
     def to_record(self, repeats: int = 1) -> dict[str, Any]:
         """The ``BENCH_swap.json`` payload (envelope included)."""
@@ -108,7 +104,7 @@ class SwapBenchResult:
         return {
             "envelope": bench_envelope("swap-bench", repeats=repeats),
             "workers": self.workers,
-            "mode": self.mode,
+            "mode": self.baseline_report.mode,
             "devices": config.devices,
             "requests": config.requests,
             "revisit_period": config.revisit_period,
@@ -125,51 +121,38 @@ class SwapBenchResult:
             "promoted": self.promoted,
             "swap": {
                 "at_request": self.swap.swap_at_request,
-                "responses": self.swap.responses,
+                "responses": len(self.swap.report.responses),
                 "dropped_tickets": self.swap.dropped_tickets,
                 "fopt_mismatches_vs_baseline": (
                     self.swap.fopt_mismatches_vs_baseline
                 ),
                 "swap_call_ms": round(self.swap.swap_call_s * 1e3, 3),
-                "wall_s": round(self.swap.wall_s, 4),
-                "throughput_rps": round(self.swap.throughput_rps, 1),
+                "wall_s": round(self.swap.report.wall_s, 4),
+                "throughput_rps": round(self.swap.report.throughput_rps, 1),
                 "model_version_after": self.swap.model_version_after,
             },
         }
 
 
-def _replay_with_swap(
+def _swapping(
+    schedule: Iterable[tuple[float, DecisionRequest]],
     fleet,
-    traces,
-    config: LoadgenConfig,
     candidate,
     swap_at: int,
-) -> tuple[list[DecisionResponse], float, float]:
-    """Drive a replay, issuing ``swap_model`` at stream index ``swap_at``.
+    swap_call_s: list[float],
+) -> Iterator[tuple[float, DecisionRequest]]:
+    """The schedule, hot-swapping ``candidate`` in before request ``swap_at``.
 
-    Mirrors :meth:`FleetLoadGenerator.run`'s virtual-clock pacing; the
-    swap lands between two submits, exactly where a production
-    controller would issue it.
+    The swap lands between two submits, exactly where a production
+    controller would make it; the ``swap_model`` call's wall time is
+    appended to ``swap_call_s``.
     """
-    requests = request_stream(traces, config)
-    gap_s = 1.0 / config.target_qps
-    responses: list[DecisionResponse] = []
-    swap_call_s = 0.0
-    wall_start = time.perf_counter()
-    for index, request in enumerate(requests):
-        virtual_now = index * gap_s
+    for index, entry in enumerate(schedule):
         if index == swap_at:
-            swap_start = time.perf_counter()
+            started = time.perf_counter()
             fleet.swap_model(candidate)
-            swap_call_s = time.perf_counter() - swap_start
-        responses.extend(fleet.poll(virtual_now))
-        responses.extend(fleet.submit(request, virtual_now))
-    responses.extend(
-        fleet.flush(len(requests) * gap_s + config.max_wait_s)
-    )
-    wall_s = time.perf_counter() - wall_start
-    responses.sort(key=lambda response: response.request_id)
-    return responses, wall_s, swap_call_s
+            swap_call_s.append(time.perf_counter() - started)
+        yield entry
 
 
 def run_swap_bench(
@@ -181,7 +164,6 @@ def run_swap_bench(
     work_dir: str | Path | None = None,
     repeats: int = 1,
     promote_threshold: float = 0.0,
-    output_path: str | Path | None = None,
 ) -> SwapBenchResult:
     """Run the full harvest -> retrain -> shadow -> hot-swap loop.
 
@@ -196,18 +178,19 @@ def run_swap_bench(
         work_dir: Directory for the telemetry store and registry
             (default: a ``swap-bench`` subtree of the repro cache).
         repeats: Timed repetitions of the baseline/shadow replays; the
-            best (highest-throughput) pair is reported, the smoke
+            best (highest-throughput) of each is reported, the smoke
             default of 1 keeps CI fast.
         promote_threshold: Mismatch rate the promote decision allows.
-        output_path: Where to write ``BENCH_swap.json`` (``None``
-            skips).
+
+    Returns:
+        The result; :meth:`SwapBenchResult.to_record` builds its
+        ``BENCH_swap.json`` record.
     """
     from repro.experiments.cache import cache_dir
     from repro.serve.fleet import FleetConfig, FleetDecisionService
 
     config = config or LoadgenConfig(requests=2048, revisit_period=16)
     harness_config = harness_config or HarnessConfig()
-    repeats = max(1, repeats)
     work_dir = Path(work_dir) if work_dir is not None else cache_dir() / "swap-bench"
     work_dir.mkdir(parents=True, exist_ok=True)
     store = TelemetryStore(work_dir / "telemetry")
@@ -219,15 +202,14 @@ def run_swap_bench(
         shard_file.unlink()
 
     traces = harvest_traces(combos=combos, config=harness_config)
-    requests = request_stream(traces, config)
+    schedule = uniform_request_schedule(traces, config)
     fleet_config = FleetConfig(workers=workers, service=config.service_config())
 
     # Phase 1: harvest telemetry (untimed; this replay also warms the
     # kernels and worker processes for the timed phases).
     with FleetDecisionService(predictor, fleet_config) as fleet:
         fleet.attach_telemetry(store)
-        FleetLoadGenerator(predictor, config, service=fleet).run(traces)
-        mode = fleet.mode
+        replay(fleet, schedule, config)
     telemetry_records = store.record_count()
 
     # Phase 2: retrain on the harvested records.
@@ -239,37 +221,26 @@ def run_swap_bench(
     )
     candidate = retrain.models.predictor
 
-    # Phase 3: timed baseline and shadow replays (best of `repeats`).
-    baseline_report: LoadgenReport | None = None
-    shadow_report: LoadgenReport | None = None
-    shadow_score: dict[str, Any] | None = None
-    promoted = False
-    for _ in range(repeats):
+    # Phase 3: timed baseline and shadow replays, alternating so host
+    # drift hits both; the best of `repeats` of each is reported.
+    def baseline() -> LoadgenReport:
         with FleetDecisionService(predictor, fleet_config) as fleet:
-            report = FleetLoadGenerator(predictor, config, service=fleet).run(
-                traces
-            )
-        if (
-            baseline_report is None
-            or report.throughput_rps > baseline_report.throughput_rps
-        ):
-            baseline_report = report
+            return replay(fleet, schedule, config)
+
+    def shadowed() -> tuple[LoadgenReport, dict[str, Any], bool]:
         with FleetDecisionService(predictor, fleet_config) as fleet:
             fleet.start_shadow(candidate)
-            report = FleetLoadGenerator(predictor, config, service=fleet).run(
-                traces
-            )
+            report = replay(fleet, schedule, config)
             score = fleet.shadow_report().to_record()
-            did_promote = fleet.promote(max_mismatch_rate=promote_threshold)
-        if (
-            shadow_report is None
-            or report.throughput_rps > shadow_report.throughput_rps
-        ):
-            shadow_report = report
-            shadow_score = score
-            promoted = did_promote
-    assert baseline_report is not None and shadow_report is not None
-    assert shadow_score is not None
+            return report, score, fleet.promote(max_mismatch_rate=promote_threshold)
+
+    rounds = [(baseline(), shadowed()) for _ in range(max(1, repeats))]
+    baseline_report = max(
+        (plain for plain, _ in rounds), key=lambda report: report.throughput_rps
+    )
+    shadow_report, shadow_score, promoted = max(
+        (shadow for _, shadow in rounds), key=lambda shadow: shadow[0].throughput_rps
+    )
     shadow_overhead = 1.0 - (
         shadow_report.throughput_rps / baseline_report.throughput_rps
         if baseline_report.throughput_rps > 0
@@ -277,29 +248,26 @@ def run_swap_bench(
     )
 
     # Phase 4: hot-swap the candidate in mid-stream under traffic.
-    swap_at = len(requests) // 2
+    swap_at = len(schedule) // 2
+    swap_calls: list[float] = []
     with FleetDecisionService(predictor, fleet_config) as fleet:
-        responses, wall_s, swap_call_s = _replay_with_swap(
-            fleet, traces, config, candidate, swap_at
+        swap_report = replay(
+            fleet, _swapping(schedule, fleet, candidate, swap_at, swap_calls), config
         )
         version_after = fleet.model_version
-    baseline_fopts = baseline_report.fopts_hz()
-    swap_fopts = [response.fopt_hz for response in responses]
-    mismatches = sum(
-        1 for a, b in zip(swap_fopts, baseline_fopts) if a != b
-    )
+    (swap_call_s,) = swap_calls
     swap_phase = SwapPhaseResult(
         swap_at_request=swap_at,
-        responses=len(responses),
-        dropped_tickets=len(requests) - len(responses),
-        fopt_mismatches_vs_baseline=mismatches,
+        report=swap_report,
+        dropped_tickets=len(schedule) - len(swap_report.responses),
+        fopt_mismatches_vs_baseline=fopt_mismatches(
+            swap_report.fopts_hz(), baseline_report.fopts_hz()
+        ),
         swap_call_s=swap_call_s,
-        wall_s=wall_s,
-        throughput_rps=len(responses) / wall_s if wall_s > 0 else float("inf"),
         model_version_after=version_after,
     )
 
-    result = SwapBenchResult(
+    return SwapBenchResult(
         baseline_report=baseline_report,
         shadow_report=shadow_report,
         shadow_score=shadow_score,
@@ -309,10 +277,4 @@ def run_swap_bench(
         swap=swap_phase,
         telemetry_records=telemetry_records,
         workers=workers,
-        mode=mode,
     )
-    if output_path is not None:
-        Path(output_path).write_text(
-            json.dumps(result.to_record(repeats=repeats), indent=2) + "\n"
-        )
-    return result

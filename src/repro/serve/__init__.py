@@ -17,10 +17,12 @@ The package splits along those lines:
 * :mod:`repro.serve.service` -- the request/response types and the
   Algorithm-1 decision pass (deadline-aware admission, one model pass
   and one selection per batch, per-request tracing).
-* :mod:`repro.serve.loadgen` -- a synthetic fleet driver that replays
-  counter traces harvested from the simulator, and the one serving
-  bench (:func:`~repro.serve.loadgen.run_fleet_bench`): decision
-  latency percentiles, throughput and fopt cross-checks against the
+* :mod:`repro.serve.loadgen` -- the synthetic fleet load: counter
+  traces harvested from the simulator, their uniform and digital-twin
+  arrival schedules, :func:`~repro.serve.loadgen.replay` (the one loop
+  that drives a router through a schedule), and the one serving bench
+  (:func:`~repro.serve.loadgen.run_fleet_bench`): decision latency
+  percentiles, throughput and fopt cross-checks against the
   single-process service and the scalar loop (``BENCH_fleet.json``;
   its one-shard, no-skip-cache run is ``BENCH_serve.json``).
 * :mod:`repro.serve.shard` -- device-hash partitioning and the shard
@@ -63,14 +65,16 @@ _EXPORTS = {
     "CounterObservation": "repro.serve.loadgen",
     "DeviceTrace": "repro.serve.loadgen",
     "FleetBenchResult": "repro.serve.loadgen",
-    "FleetLoadGenerator": "repro.serve.loadgen",
     "LatencyStats": "repro.serve.loadgen",
     "LoadgenConfig": "repro.serve.loadgen",
     "LoadgenReport": "repro.serve.loadgen",
     "harvest_traces": "repro.serve.loadgen",
+    "replay": "repro.serve.loadgen",
     "request_stream": "repro.serve.loadgen",
     "run_fleet_bench": "repro.serve.loadgen",
     "scalar_decision_baseline": "repro.serve.loadgen",
+    "twin_request_schedule": "repro.serve.loadgen",
+    "uniform_request_schedule": "repro.serve.loadgen",
 }
 
 __all__ = sorted(_EXPORTS)

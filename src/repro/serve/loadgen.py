@@ -12,30 +12,31 @@ on the wall clock.
 :func:`harvest_traces` simulates the whole combo population in one
 :class:`~repro.sim.fleet_engine.FleetEngine` pass -- the serving
 stack's *digital twin* -- and caches the traces.  Two arrival processes
-replay them:
+turn them into ``(arrival_s, request)`` schedules:
 
-* :func:`request_stream` -- a uniform ``1 / target_qps`` virtual drip.
+* :func:`uniform_request_schedule` -- a uniform ``1 / target_qps``
+  virtual drip.
 * :func:`twin_request_schedule` -- each request arrives at its
   observation's decision-epoch timestamp inside its device's own
   trajectory, so the service sees the bursty arrival pattern a real
   fleet produces instead of a uniform drip.  The request *contents*
-  equal the uniform stream's; only the arrival process differs.
+  equal the uniform schedule's; only the arrival process differs.
 
+:func:`replay` is the one loop that drives a router through a
+schedule; every serving bench replays through it.
 :func:`run_fleet_bench` packages the whole thing: harvest, replay
 through the sharded router and through one plain single-process
-service, a scalar per-request baseline over the identical stream, a
-full fopt-equality cross-check between the three, and a
-``BENCH_fleet.json`` record with p50/p95/p99 latency, throughput and
-the speedups.
+service, a scalar per-request baseline over the identical stream, and
+a full fopt-equality cross-check between the three, with
+p50/p95/p99 latency, throughput and the speedups in its
+``BENCH_fleet.json`` record.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +47,12 @@ from repro.core.ppw import select_fopt
 from repro.experiments.cache import memoized
 from repro.experiments.harness import HarnessConfig, workload_engine
 from repro.experiments.suite import WorkloadCombo, all_combos
-from repro.serve.fleet import DecisionService, FleetConfig, FleetDecisionService
+from repro.serve.fleet import (
+    DecisionService,
+    FleetConfig,
+    FleetDecisionService,
+    FleetStats,
+)
 from repro.serve.service import DecisionRequest, DecisionResponse, ServiceConfig
 from repro.sim.fleet_engine import FleetEngine
 from repro.sim.governor import Governor, RunContext
@@ -298,6 +304,22 @@ def request_stream(
     return [request for _, request in _timed_requests(traces, config)]
 
 
+def uniform_request_schedule(
+    traces: Sequence[DeviceTrace], config: LoadgenConfig
+) -> list[tuple[float, DecisionRequest]]:
+    """Uniform fleet arrivals: request ``i`` arrives at ``i / target_qps``.
+
+    Returns:
+        :func:`request_stream`'s requests as ``(arrival_s, request)``
+        pairs, in submission order.
+    """
+    gap_s = 1.0 / config.target_qps
+    return [
+        (index * gap_s, request)
+        for index, request in enumerate(request_stream(traces, config))
+    ]
+
+
 def twin_request_schedule(
     traces: Sequence[DeviceTrace], config: LoadgenConfig
 ) -> list[tuple[float, DecisionRequest]]:
@@ -372,12 +394,13 @@ class LoadgenReport:
         latency: Submit-to-response wall-clock latency stats.
         wall_s: Wall time from first submit to last response.
         throughput_rps: Served decisions per wall second.
-        batches: Model passes the service ran.
-        mean_batch_size: Accepted requests per model pass.
-        largest_batch: Biggest single model pass.
-        rejected: Requests admission answered with the fmax fallback.
-        skips: Requests answered from a skip cache (0 on a plain
-            single-process service).
+        stats: The router's counters after the replay
+            (:meth:`~repro.serve.fleet.FleetDecisionService.merged_stats`):
+            model passes, batch sizes, rejections and skip-cache hits.
+        mode: Execution vehicle the router ran on (``process`` or
+            ``serial (<reason>)``).
+        worker_restarts: Shard-worker respawns during the replay
+            (should be zero in a bench).
     """
 
     config: LoadgenConfig
@@ -385,121 +408,78 @@ class LoadgenReport:
     latency: LatencyStats
     wall_s: float
     throughput_rps: float
-    batches: int
-    mean_batch_size: float
-    largest_batch: int
-    rejected: int
-    skips: int = 0
-
-    def skip_rate(self) -> float:
-        """Fraction of responses replayed from the skip cache."""
-        if not self.responses:
-            return 0.0
-        return self.skips / len(self.responses)
+    stats: FleetStats
+    mode: str
+    worker_restarts: int
 
     def fopts_hz(self) -> list[float]:
         """Served fopt per request, in submission order."""
         return [response.fopt_hz for response in self.responses]
 
 
-class FleetLoadGenerator:
-    """Replays a request stream through a decision service.
+def replay(
+    service: FleetDecisionService,
+    schedule: Iterable[tuple[float, DecisionRequest]],
+    config: LoadgenConfig,
+) -> LoadgenReport:
+    """Drive a router through a request schedule and collect the report.
 
-    Arrivals are spaced ``1 / target_qps`` apart on a virtual clock
-    that also drives the service's batching (and session TTLs), so a
-    replay's batch boundaries are fully deterministic.  Latency is
-    measured per request on the wall clock: the span from its
-    ``submit`` call to the flush that produced its response.
+    Each request is submitted at its virtual arrival, right after a
+    ``poll`` at the same instant, and one final ``flush`` lands at the
+    last arrival + ``1 / target_qps`` + ``max_wait_s``.  Every router
+    call gets its virtual ``now`` explicitly, so the service's own
+    clock is never consulted and batch boundaries are fully
+    deterministic.  Latency is measured per request on the wall clock:
+    the span from its ``submit`` call to the call that returned its
+    response.
 
     Args:
-        predictor: Trained bundle (ignored when ``service`` is given).
-        config: Replay parameters.
-        service: Pre-built router to drive instead of a fresh
-            single-process :class:`DecisionService`, e.g. a sharded
-            :class:`FleetDecisionService`.  The replay passes an
-            explicit virtual ``now`` to every call, so the injected
-            service's own clock is never consulted.
+        service: A fresh router (its tickets number from 0 in
+            submission order): a :class:`DecisionService` or a sharded
+            :class:`FleetDecisionService`.
+        schedule: ``(arrival_s, request)`` pairs in non-decreasing
+            arrival order (:func:`uniform_request_schedule`,
+            :func:`twin_request_schedule`).  Consumed lazily, so a
+            generator can act on the service between two submissions.
+        config: The replay parameters.
+
+    Raises:
+        ValueError: When the schedule is empty.
     """
+    submitted_at: dict[int, float] = {}
+    latencies: list[float] = []
+    responses: list[DecisionResponse] = []
 
-    def __init__(
-        self,
-        predictor,
-        config: LoadgenConfig | None = None,
-        service: FleetDecisionService | None = None,
-    ) -> None:
-        self.config = config or LoadgenConfig()
-        self._virtual_now = 0.0
-        self.service = service or DecisionService(
-            predictor,
-            config=self.config.service_config(),
-            clock=lambda: self._virtual_now,
-        )
+    def collect(batch: list[DecisionResponse]) -> None:
+        if not batch:
+            return
+        wall_now = time.perf_counter()
+        for response in batch:
+            latencies.append(wall_now - submitted_at.pop(response.request_id))
+            responses.append(response)
 
-    def run(
-        self,
-        traces: Sequence[DeviceTrace],
-        schedule: Sequence[tuple[float, DecisionRequest]] | None = None,
-    ) -> LoadgenReport:
-        """Submit the whole stream and collect the report.
+    arrival_s: float | None = None
+    wall_start = time.perf_counter()
+    for ticket, (arrival_s, request) in enumerate(schedule):
+        collect(service.poll(arrival_s))
+        submitted_at[ticket] = time.perf_counter()
+        collect(service.submit(request, arrival_s))
+    if arrival_s is None:
+        raise ValueError("need at least one scheduled request")
+    collect(service.flush(arrival_s + 1.0 / config.target_qps + config.max_wait_s))
+    wall_s = time.perf_counter() - wall_start
 
-        Args:
-            traces: Device traces to derive the uniform-clock stream
-                from (ignored when ``schedule`` is given).
-            schedule: Optional explicit ``(arrival_s, request)`` pairs
-                in non-decreasing arrival order -- the digital-twin
-                path (:func:`twin_request_schedule`).  ``None`` keeps
-                the uniform ``1 / target_qps`` virtual clock over
-                :func:`request_stream`.
-        """
-        gap_s = 1.0 / self.config.target_qps
-        if schedule is None:
-            requests = request_stream(traces, self.config)
-            arrivals = [index * gap_s for index in range(len(requests))]
-        else:
-            requests = [request for _, request in schedule]
-            arrivals = [arrival_s for arrival_s, _ in schedule]
-            if not requests:
-                raise ValueError("need at least one scheduled request")
-        submitted_at: dict[int, float] = {}
-        latencies: list[float] = []
-        responses: list[DecisionResponse] = []
-
-        def collect(batch: list[DecisionResponse], wall_now: float) -> None:
-            for response in batch:
-                latencies.append(wall_now - submitted_at.pop(response.request_id))
-                responses.append(response)
-
-        wall_start = time.perf_counter()
-        for index, request in enumerate(requests):
-            self._virtual_now = arrivals[index]
-            drained = self.service.poll(self._virtual_now)
-            if drained:
-                collect(drained, time.perf_counter())
-            submitted_at[index] = time.perf_counter()
-            answered = self.service.submit(request, self._virtual_now)
-            if answered:
-                collect(answered, time.perf_counter())
-        if schedule is None:
-            self._virtual_now = len(requests) * gap_s + self.config.max_wait_s
-        else:
-            self._virtual_now = arrivals[-1] + gap_s + self.config.max_wait_s
-        collect(self.service.flush(self._virtual_now), time.perf_counter())
-        wall_s = time.perf_counter() - wall_start
-
-        responses.sort(key=lambda response: response.request_id)
-        stats = self.service.stats
-        return LoadgenReport(
-            config=self.config,
-            responses=tuple(responses),
-            latency=LatencyStats.from_samples(latencies),
-            wall_s=wall_s,
-            throughput_rps=len(responses) / wall_s if wall_s > 0 else float("inf"),
-            batches=stats.batches_total,
-            mean_batch_size=stats.mean_batch_size(),
-            largest_batch=stats.largest_batch,
-            rejected=stats.rejected_total,
-            skips=stats.skips_total,
-        )
+    responses.sort(key=lambda response: response.request_id)
+    return LoadgenReport(
+        config=config,
+        responses=tuple(responses),
+        latency=LatencyStats.from_samples(latencies),
+        wall_s=wall_s,
+        throughput_rps=len(responses) / wall_s if wall_s > 0 else float("inf"),
+        stats=service.merged_stats(),
+        mode=service.mode,
+        worker_restarts=service.worker_restarts(),
+    )
 
 
 def scalar_decision_baseline(
@@ -544,10 +524,6 @@ class FleetBenchResult:
         single_report: The same stream through one plain
             :class:`DecisionService`.
         workers: Shard count of the fleet replay.
-        mode: Execution vehicle the runtime chose (``process`` or
-            ``serial (<reason>)``).
-        worker_restarts: Shard-worker respawns during the replay
-            (should be zero in a bench).
         scalar_s: Wall time of the per-request scalar loop.
         scalar_rps: Scalar decisions per second.
         speedup_vs_single: Fleet throughput over single-process
@@ -564,8 +540,6 @@ class FleetBenchResult:
     fleet_report: LoadgenReport
     single_report: LoadgenReport
     workers: int
-    mode: str
-    worker_restarts: int
     scalar_s: float
     scalar_rps: float
     speedup_vs_single: float
@@ -584,8 +558,8 @@ class FleetBenchResult:
             "envelope": bench_envelope("fleet-bench", repeats=repeats),
             "trace_source": self.trace_source,
             "workers": self.workers,
-            "mode": self.mode,
-            "worker_restarts": self.worker_restarts,
+            "mode": fleet.mode,
+            "worker_restarts": fleet.worker_restarts,
             "devices": config.devices,
             "requests": config.requests,
             "target_qps": config.target_qps,
@@ -594,12 +568,12 @@ class FleetBenchResult:
             "revisit_period": config.revisit_period,
             "include_leakage": config.include_leakage,
             "qos_margin": config.qos_margin,
-            "skips": fleet.skips,
-            "skip_rate": round(fleet.skip_rate(), 4),
-            "rejected": fleet.rejected,
-            "batches": fleet.batches,
-            "mean_batch_size": round(fleet.mean_batch_size, 2),
-            "largest_batch": fleet.largest_batch,
+            "skips": fleet.stats.skips_total,
+            "skip_rate": round(fleet.stats.skip_rate(), 4),
+            "rejected": fleet.stats.rejected_total,
+            "batches": fleet.stats.batches_total,
+            "mean_batch_size": round(fleet.stats.mean_batch_size(), 2),
+            "largest_batch": fleet.stats.largest_batch,
             "latency": fleet.latency.to_record(),
             "wall_s": round(fleet.wall_s, 4),
             "throughput_rps": round(fleet.throughput_rps, 1),
@@ -614,6 +588,38 @@ class FleetBenchResult:
         }
 
 
+def fopt_mismatches(lhs: Sequence[float], rhs: Sequence[float]) -> int:
+    """Positions where two fopt streams of one schedule disagree."""
+    return sum(1 for lhs_hz, rhs_hz in zip(lhs, rhs) if lhs_hz != rhs_hz)
+
+
+def _best_replay(
+    make_service: Callable[[], FleetDecisionService],
+    schedule: Sequence[tuple[float, DecisionRequest]],
+    config: LoadgenConfig,
+    repeats: int,
+) -> LoadgenReport:
+    """The highest-throughput of ``repeats`` replays, each on a fresh router.
+
+    A throwaway router first decides a short prefix, absorbing worker
+    spawn and first-pass costs (kernel construction, NumPy dispatch);
+    each timed replay then starts with clean counters and an empty
+    skip cache.
+    """
+    warm = [request for _, request in schedule[: 2 * config.max_batch_size]]
+    with make_service() as service:
+        service.decide(warm, now=0.0)
+
+    def timed() -> LoadgenReport:
+        with make_service() as service:
+            return replay(service, schedule, config)
+
+    return max(
+        (timed() for _ in range(max(1, repeats))),
+        key=lambda report: report.throughput_rps,
+    )
+
+
 def run_fleet_bench(
     predictor,
     config: LoadgenConfig | None = None,
@@ -622,7 +628,6 @@ def run_fleet_bench(
     workers: int = 4,
     skip_cache: bool = True,
     skip_tolerance: float = 0.0,
-    output_path: str | Path | None = None,
     repeats: int = 1,
     trace_source: str = "harvest",
 ) -> FleetBenchResult:
@@ -650,76 +655,45 @@ def run_fleet_bench(
         workers: Fleet shard count.
         skip_cache: Enable the session-aware short circuit.
         skip_tolerance: Skip-cache drift tolerance.
-        output_path: Where to write ``BENCH_fleet.json`` (``None``
-            skips).
         repeats: Timed repetitions of the fleet and single-process
             replays (each on a fresh service); the best-throughput run
             of each is reported.
         trace_source: ``"harvest"`` replays the traces on the uniform
-            virtual clock (:func:`request_stream`); ``"twin"`` replays
-            them on their epoch-derived arrival schedule
-            (:func:`twin_request_schedule`).  Request contents are
-            identical either way, so the zero-mismatch cross-checks
+            virtual clock (:func:`uniform_request_schedule`);
+            ``"twin"`` replays them on their epoch-derived arrival
+            schedule (:func:`twin_request_schedule`).  Request contents
+            are identical either way, so the zero-mismatch cross-checks
             hold for both.
+
+    Returns:
+        The result; :meth:`FleetBenchResult.to_record` builds its
+        ``BENCH_fleet.json`` record.
     """
-    if trace_source not in ("harvest", "twin"):
+    schedules = {
+        "harvest": uniform_request_schedule,
+        "twin": twin_request_schedule,
+    }
+    if trace_source not in schedules:
         raise KeyError(f"unknown trace source {trace_source!r}")
     config = config or LoadgenConfig(requests=4096, revisit_period=16)
     harness_config = harness_config or HarnessConfig()
-    repeats = max(1, repeats)
     traces = harvest_traces(combos=combos, config=harness_config)
-    schedule: list[tuple[float, DecisionRequest]] | None = None
-    if trace_source == "twin":
-        schedule = twin_request_schedule(traces, config)
-        requests = [request for _, request in schedule]
-    else:
-        requests = request_stream(traces, config)
+    schedule = schedules[trace_source](traces, config)
+    requests = [request for _, request in schedule]
 
-    # Warm both code paths (kernel construction, NumPy dispatch) on a
-    # short prefix so neither timed replay pays first-call costs.
-    warm = min(len(requests), 2 * config.max_batch_size)
-    DecisionService(predictor, config=config.service_config()).decide(
-        requests[:warm], now=0.0
+    service_config = config.service_config()
+    single_report = _best_replay(
+        lambda: DecisionService(predictor, service_config), schedule, config, repeats
     )
-
-    single_report: LoadgenReport | None = None
-    for _ in range(repeats):
-        candidate = FleetLoadGenerator(predictor, config).run(
-            traces, schedule=schedule
-        )
-        if (
-            single_report is None
-            or candidate.throughput_rps > single_report.throughput_rps
-        ):
-            single_report = candidate
-    assert single_report is not None
-
     fleet_config = FleetConfig(
         workers=workers,
-        service=config.service_config(),
+        service=service_config,
         skip_cache=skip_cache,
         skip_tolerance=skip_tolerance,
     )
-    # A throwaway fleet absorbs worker-spawn and first-pass costs; the
-    # timed replay then runs on a fresh instance with clean counters
-    # and an empty skip cache.
-    with FleetDecisionService(predictor, fleet_config) as warm_fleet:
-        warm_fleet.decide(requests[:warm], now=0.0)
-    fleet_report: LoadgenReport | None = None
-    mode = ""
-    restarts = 0
-    for _ in range(repeats):
-        with FleetDecisionService(predictor, fleet_config) as fleet:
-            generator = FleetLoadGenerator(predictor, config, service=fleet)
-            candidate = generator.run(traces, schedule=schedule)
-            if (
-                fleet_report is None
-                or candidate.throughput_rps > fleet_report.throughput_rps
-            ):
-                fleet_report = candidate
-                mode = fleet.mode
-                restarts = fleet.worker_restarts()
-    assert fleet_report is not None
+    fleet_report = _best_replay(
+        lambda: FleetDecisionService(predictor, fleet_config), schedule, config, repeats
+    )
 
     scalar_fopts, scalar_s = scalar_decision_baseline(
         predictor,
@@ -728,25 +702,10 @@ def run_fleet_bench(
         qos_margin=config.qos_margin,
     )
     scalar_rps = len(requests) / scalar_s if scalar_s > 0 else float("inf")
-
-    mismatches_single = sum(
-        1
-        for fleet_hz, single_hz in zip(
-            fleet_report.fopts_hz(), single_report.fopts_hz()
-        )
-        if fleet_hz != single_hz
-    )
-    mismatches_scalar = sum(
-        1
-        for fleet_hz, scalar_hz in zip(fleet_report.fopts_hz(), scalar_fopts)
-        if fleet_hz != scalar_hz
-    )
-    result = FleetBenchResult(
+    return FleetBenchResult(
         fleet_report=fleet_report,
         single_report=single_report,
         workers=workers,
-        mode=mode,
-        worker_restarts=restarts,
         scalar_s=scalar_s,
         scalar_rps=scalar_rps,
         speedup_vs_single=(
@@ -759,12 +718,11 @@ def run_fleet_bench(
             if scalar_rps > 0
             else float("inf")
         ),
-        fopt_mismatches_vs_single=mismatches_single,
-        fopt_mismatches_vs_scalar=mismatches_scalar,
+        fopt_mismatches_vs_single=fopt_mismatches(
+            fleet_report.fopts_hz(), single_report.fopts_hz()
+        ),
+        fopt_mismatches_vs_scalar=fopt_mismatches(
+            fleet_report.fopts_hz(), scalar_fopts
+        ),
         trace_source=trace_source,
     )
-    if output_path is not None:
-        Path(output_path).write_text(
-            json.dumps(result.to_record(repeats=repeats), indent=2) + "\n"
-        )
-    return result

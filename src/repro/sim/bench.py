@@ -16,15 +16,14 @@ for the exhaustive version).
 
 Used by ``benchmarks/test_engine_throughput.py`` (writes
 ``BENCH_engine.json`` and asserts the >= 5x acceptance bar) and by the
-``repro sim-bench`` CLI command.
+``repro sim-bench`` CLI command; both write the returned record through
+:func:`~repro.experiments.reporting.write_bench_record`.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.sim.fleet_engine import FleetRowSpec, build_row_engine
 
@@ -158,19 +157,18 @@ def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float]:
 def run_engine_bench(
     cases: tuple[BenchCase, ...] | None = None,
     repeats: int = 5,
-    output_path: str | Path | None = None,
 ) -> dict:
     """Time the fast engine against the reference on each case.
 
     Args:
         cases: Workload set (default: :func:`standard_campaign_slice`).
         repeats: Timed runs per engine per case (best-of).
-        output_path: Optional JSON destination (``BENCH_engine.json``).
 
     Returns:
-        The bench record: per-case timings plus ``campaign`` and
-        ``overall`` aggregates, each with the end-to-end speedup
-        (total reference time over total fast time).
+        The ``BENCH_engine.json`` record (envelope included): per-case
+        timings plus ``campaign`` and ``overall`` aggregates, each with
+        the end-to-end speedup (total reference time over total fast
+        time).
     """
     cases = cases if cases is not None else standard_campaign_slice()
     rows = []
@@ -202,15 +200,10 @@ def run_engine_bench(
 
     from repro.experiments.reporting import bench_envelope
 
-    record = {
+    return {
         "envelope": bench_envelope("sim-bench", repeats=repeats),
         "repeats": repeats,
         "cases": rows,
         "campaign": aggregate([row for row in rows if row["campaign"]]),
         "overall": aggregate(rows),
     }
-    if output_path is not None:
-        path = Path(output_path)
-        path.write_text(json.dumps(record, indent=2) + "\n")
-        record["output_path"] = str(path)
-    return record

@@ -29,7 +29,6 @@ class RunContext:
             is 3 seconds).
         page_features: Complexity census of the page being loaded;
             available *before* rendering starts, as in the paper.
-        browser_cores: Cores running the browser.
         corunner_cores: Cores running co-scheduled applications.
         elapsed_s: Time since the load started (updated by the engine
             before each governor invocation).
@@ -38,7 +37,6 @@ class RunContext:
     spec: PlatformSpec
     deadline_s: float = 3.0
     page_features: PageFeatures | None = None
-    browser_cores: tuple[int, ...] = (0, 1)
     corunner_cores: tuple[int, ...] = (2,)
     elapsed_s: float = 0.0
 

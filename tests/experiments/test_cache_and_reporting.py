@@ -1,5 +1,6 @@
 """Artifact cache, text-reporting and bench-envelope tests."""
 
+import json
 import subprocess
 
 import pytest
@@ -14,6 +15,7 @@ from repro.experiments.reporting import (
     ghz,
     pct,
     seconds,
+    write_bench_record,
 )
 
 
@@ -162,3 +164,19 @@ class TestBenchEnvelope:
     def test_pinned_calibration_is_not_warned(self, git, capsys):
         bench_envelope("swap-bench")
         assert "calibration fingerprint" not in capsys.readouterr().err
+
+    def test_write_bench_record_round_trips(self, git, tmp_path):
+        record = {"envelope": bench_envelope("sim-bench"), "speedup": 5.5}
+        path = tmp_path / "BENCH_engine.json"
+        write_bench_record(path, record)
+        assert json.loads(path.read_text()) == record
+        assert path.read_text().endswith("}\n")
+
+    @pytest.mark.parametrize(
+        "record", [{"speedup": 5.5}, {"envelope": {"schema": "other/1"}}]
+    )
+    def test_write_bench_record_needs_the_envelope(self, tmp_path, record):
+        path = tmp_path / "BENCH_engine.json"
+        with pytest.raises(ValueError, match="envelope"):
+            write_bench_record(path, record)
+        assert not path.exists()

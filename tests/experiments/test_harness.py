@@ -7,7 +7,10 @@ paths deterministically.
 import pytest
 
 from repro.core.ppw import FrequencyPrediction
-from repro.experiments.figures import double_interference_study
+from repro.experiments.figures import (
+    decision_interval_study,
+    double_interference_study,
+)
 from repro.experiments.harness import (
     GOVERNOR_NAMES,
     HarnessConfig,
@@ -151,6 +154,25 @@ class TestEngineSelection:
         )
         assert len(reference_runs) == 3  # DORA, interactive and fmax
         assert all(e.context.corunner_cores == (2, 3) for e in reference_runs)
+
+    def test_decision_interval_study(
+        self, monkeypatch, reference_runs, small_predictor
+    ):
+        fast_runs = []
+        run = Engine.run
+
+        def spy(engine):
+            fast_runs.append(engine)
+            return run(engine)
+
+        monkeypatch.setattr(Engine, "run", spy)
+        decision_interval_study(
+            small_predictor,
+            self.REFERENCE,
+            intervals_s=(0.1,),
+            sample_pages=("amazon",),
+        )
+        assert reference_runs and not fast_runs
 
     def test_unknown_engine_rejected(self):
         config = HarnessConfig(engine="turbo")

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.api
+import repro.experiments.reporting
 from repro.cli import _bench_workload, _loadgen_config, build_parser, main
 
 
@@ -45,8 +46,16 @@ def test_sweep_smoke(capsys):
     assert "fopt=" in capsys.readouterr().out
 
 
-def test_fleet_bench_single_shard_smoke(capsys, tmp_path):
+def test_fleet_bench_single_shard_smoke(capsys, monkeypatch, tmp_path):
     output = tmp_path / "BENCH_serve.json"
+    envelopes = []
+    envelope = repro.experiments.reporting.bench_envelope
+
+    def counted(command, *args, **kwargs):
+        envelopes.append(command)
+        return envelope(command, *args, **kwargs)
+
+    monkeypatch.setattr(repro.experiments.reporting, "bench_envelope", counted)
     code = main([
         "fleet-bench", "--smoke", "--workers", "1", "--no-skip-cache",
         "--devices", "4", "--requests", "64", "--revisit-period", "0",
@@ -61,6 +70,8 @@ def test_fleet_bench_single_shard_smoke(capsys, tmp_path):
     assert record["fopt_mismatches_vs_scalar"] == 0
     assert record["requests"] == 64
     assert record["throughput_rps"] > 0
+    # One record: the summary it printed is the record it wrote.
+    assert envelopes == ["fleet-bench"]
 
 
 def test_fleet_and_swap_bench_share_the_replay_flags():

@@ -4,14 +4,17 @@ import json
 
 import pytest
 
+from repro.experiments.reporting import write_bench_record
 from repro.experiments.suite import all_combos
+from repro.serve.fleet import DecisionService, FleetConfig, FleetDecisionService
 from repro.serve.loadgen import (
-    FleetLoadGenerator,
     LoadgenConfig,
     harvest_traces,
+    replay,
     request_stream,
     run_fleet_bench,
     scalar_decision_baseline,
+    uniform_request_schedule,
 )
 
 
@@ -113,17 +116,57 @@ class TestStream:
             request_stream([], LoadgenConfig())
 
 
+def _replay(predictor, traces, config):
+    """A uniform-schedule replay through a fresh single-process service."""
+    service = DecisionService(predictor, config.service_config())
+    return replay(service, uniform_request_schedule(traces, config), config)
+
+
 class TestReplay:
     def test_replay_answers_every_request(self, small_predictor, traces):
         config = LoadgenConfig(
             devices=4, requests=40, target_qps=50000, max_batch_size=8
         )
-        report = FleetLoadGenerator(small_predictor, config).run(traces)
+        report = _replay(small_predictor, traces, config)
         assert len(report.responses) == 40
-        assert report.batches >= 5  # 40 accepted / batch cap 8
-        assert report.largest_batch <= 8
+        assert report.stats.batches_total >= 5  # 40 accepted / batch cap 8
+        assert report.stats.largest_batch <= 8
         assert report.latency.p50_s <= report.latency.p99_s
         assert report.throughput_rps > 0
+
+    def test_report_carries_the_routers_counters(self, small_predictor, traces):
+        config = LoadgenConfig(
+            devices=4, requests=48, target_qps=50000, max_batch_size=8,
+            revisit_period=4, tight_deadline_every=5,
+        )
+        schedule = uniform_request_schedule(traces, config)
+        fleet_config = FleetConfig(workers=1, service=config.service_config())
+        with FleetDecisionService(small_predictor, fleet_config) as fleet:
+            report = replay(fleet, schedule, config)
+            assert report.stats == fleet.merged_stats()
+            assert (report.mode, report.worker_restarts) == (
+                fleet.mode, fleet.worker_restarts()
+            )
+        stats = report.stats
+        assert stats.requests_total == len(report.responses) == len(schedule)
+        assert stats.requests_total == (
+            stats.rejected_total + stats.skips_total + stats.accepted_total
+        )
+        assert [r.request_id for r in report.responses] == list(range(48))
+
+    def test_uniform_schedule_drips_at_the_target_rate(self, traces):
+        config = LoadgenConfig(devices=4, requests=12, target_qps=400.0)
+        schedule = uniform_request_schedule(traces, config)
+        assert [arrival for arrival, _ in schedule] == [
+            index / 400.0 for index in range(12)
+        ]
+        assert [request for _, request in schedule] == request_stream(
+            traces, config
+        )
+
+    def test_empty_schedule_rejected(self, small_predictor):
+        with pytest.raises(ValueError, match="at least one"):
+            replay(DecisionService(small_predictor), [], LoadgenConfig())
 
     def test_replay_matches_scalar_baseline_exactly(
         self, small_predictor, traces
@@ -135,18 +178,16 @@ class TestReplay:
             max_batch_size=8,
             tight_deadline_every=7,
         )
-        report = FleetLoadGenerator(small_predictor, config).run(traces)
+        report = _replay(small_predictor, traces, config)
         scalar_fopts, _ = scalar_decision_baseline(
             small_predictor, request_stream(traces, config)
         )
         assert report.fopts_hz() == scalar_fopts
-        assert report.rejected == 4  # requests 7, 14, 21, 28
+        assert report.stats.rejected_total == 4  # requests 7, 14, 21, 28
 
     def test_injected_fleet_service_reports_skips(
         self, small_predictor, traces
     ):
-        from repro.serve.fleet import FleetConfig, FleetDecisionService
-
         config = LoadgenConfig(
             devices=4,
             requests=64,
@@ -159,12 +200,12 @@ class TestReplay:
             FleetConfig(workers=1, service=config.service_config()),
         )
         with fleet:
-            report = FleetLoadGenerator(
-                small_predictor, config, service=fleet
-            ).run(traces)
+            report = replay(fleet, uniform_request_schedule(traces, config), config)
         assert len(report.responses) == 64
-        assert report.skips > 0
-        assert report.skip_rate() == pytest.approx(report.skips / 64)
+        assert report.stats.skips_total > 0
+        assert report.stats.skip_rate() == pytest.approx(
+            report.stats.skips_total / 64
+        )
         # The replay is still bit-faithful to the scalar loop.
         scalar_fopts, _ = scalar_decision_baseline(
             small_predictor, request_stream(traces, config)
@@ -177,9 +218,9 @@ class TestReplay:
         config = LoadgenConfig(
             devices=4, requests=24, target_qps=50000, revisit_period=4
         )
-        report = FleetLoadGenerator(small_predictor, config).run(traces)
-        assert report.skips == 0
-        assert report.skip_rate() == 0.0
+        report = _replay(small_predictor, traces, config)
+        assert report.stats.skips_total == 0
+        assert report.stats.skip_rate() == 0.0
 
 
 class TestBench:
@@ -198,10 +239,10 @@ class TestBench:
             combos=all_combos()[:2],
             workers=1,
             skip_cache=False,
-            output_path=output,
         )
         assert result.fopt_mismatches_vs_scalar == 0
         assert result.fopt_mismatches_vs_single == 0
+        write_bench_record(output, result.to_record())
         record = json.loads(output.read_text())
         for key in (
             "latency",

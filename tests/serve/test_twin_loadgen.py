@@ -15,17 +15,20 @@ import pytest
 from repro.browser.pages import page_by_name
 from repro.core.governors import InteractiveGovernor
 from repro.experiments.harness import run_workload
+from repro.experiments.reporting import write_bench_record
 from repro.experiments.suite import all_combos
+from repro.serve.fleet import DecisionService
 from repro.serve.loadgen import (
     DeviceTrace,
-    FleetLoadGenerator,
     LoadgenConfig,
     _RecordingGovernor,
     harvest_traces,
+    replay,
     request_stream,
     run_fleet_bench,
     scalar_decision_baseline,
     twin_request_schedule,
+    uniform_request_schedule,
 )
 
 _COMBOS = all_combos()[:3]
@@ -131,20 +134,20 @@ class TestTwinReplay:
             devices=6, requests=48, target_qps=50000, max_batch_size=8
         )
         schedule = twin_request_schedule(twin, config)
-        report = FleetLoadGenerator(small_predictor, config).run(
-            twin, schedule=schedule
-        )
+        service = DecisionService(small_predictor, config.service_config())
+        report = replay(service, schedule, config)
         assert len(report.responses) == 48
         scalar_fopts, _ = scalar_decision_baseline(
             small_predictor, [request for _, request in schedule]
         )
         assert report.fopts_hz() == scalar_fopts
 
-    def test_uniform_replay_is_unchanged_by_the_schedule_hook(
+    def test_uniform_replay_matches_the_scalar_baseline(
         self, small_predictor, twin
     ):
         config = LoadgenConfig(devices=4, requests=32, target_qps=50000)
-        report = FleetLoadGenerator(small_predictor, config).run(twin)
+        service = DecisionService(small_predictor, config.service_config())
+        report = replay(service, uniform_request_schedule(twin, config), config)
         scalar_fopts, _ = scalar_decision_baseline(
             small_predictor, request_stream(twin, config)
         )
@@ -169,12 +172,12 @@ class TestTwinFleetBench:
             harness_config=fast_config,
             combos=_COMBOS,
             workers=2,
-            output_path=output,
             trace_source="twin",
         )
         assert twin_result.trace_source == "twin"
         assert twin_result.fopt_mismatches_vs_single == 0
         assert twin_result.fopt_mismatches_vs_scalar == 0
+        write_bench_record(output, twin_result.to_record())
         record = json.loads(output.read_text())
         assert record["trace_source"] == "twin"
         assert record["fopt_mismatches_vs_single"] == 0

@@ -186,6 +186,7 @@ class TestBrowserWorkloadEquivalence:
     def test_fast_matches_reference(self, page, kernel, governor, dt, trace):
         ref = _browser_run(ReferenceEngine, page, kernel, governor, dt, trace)
         fast = _browser_run(Engine, page, kernel, governor, dt, trace)
+        assert ref.load_time_s is not None
         assert_bit_identical(ref, fast)
 
     @pytest.mark.parametrize("max_steps", CLAMPED_HORIZONS)
@@ -214,12 +215,6 @@ class TestBrowserWorkloadEquivalence:
         )
         assert ref.timed_out and fast.timed_out
         assert_bit_identical(ref, fast)
-
-    def test_reference_engine_coerces_its_config(self):
-        result = _browser_run(
-            ReferenceEngine, "amazon", None, "perf", 0.002, False
-        )
-        assert result.load_time_s is not None
 
 
 # ----------------------------------------------------------------------
