@@ -33,11 +33,16 @@ Two execution strategies share these semantics:
   except the thermal/leakage feedback is constant.  It plans the number
   of dt steps to the next event, evaluates progress, counters, and
   energy for the whole regime as resumed cumulative sums, and runs the
-  thermal recurrence with per-step constants hoisted.  Events still
-  snap to dt boundaries exactly as in the reference, every accumulation
-  uses strictly sequential summation, and event-adjacent steps fall
-  back to the single-step path -- so results are **bit-identical** to
-  the reference loop (asserted by ``tests/sim/test_engine_equivalence``).
+  thermal recurrence with per-step constants hoisted.  The step that
+  crosses a phase boundary joins the regime when it is exact: the
+  regime calls ``Task.advance`` for it, and when every task retires
+  exactly its budget and none finishes, that step accumulates exactly
+  like the plain ones.  Events still snap to dt boundaries exactly as
+  in the reference, every accumulation uses strictly sequential
+  summation, and the remaining event steps (completions, switch
+  stalls, inexact crossings) fall back to the single-step path -- so
+  results are **bit-identical** to the reference loop (asserted by
+  ``tests/sim/test_engine_equivalence``).
 """
 # repro: bit-exact -- the fast path must equal ReferenceEngine bit for
 # bit (R003 forbids BLAS/pairwise reductions in this module).
@@ -58,9 +63,6 @@ from repro.soc.cpu import CpiInputs, effective_cpi
 from repro.soc.device import Device
 from repro.soc.power import CoreActivity
 
-#: Regimes shorter than this run through the single-step path (the
-#: bulk machinery's fixed cost only pays off from a couple of steps).
-_MIN_REGIME_STEPS = 2
 #: Upper bound on one regime's planning horizon (bounds the working-set
 #: of the planning matrix; longer regimes simply split).
 _MAX_REGIME_STEPS = 131072
@@ -346,7 +348,9 @@ class _LoopState:
     window_s: float = 0.0
     load_time_s: float | None = None
     #: Steps to take through the single-step path before attempting
-    #: another regime (set when an event is provably imminent).
+    #: another regime: 1 when the step after a regime's plain steps
+    #: could not join it (a task finishes on it, or its crossing is
+    #: inexact), since only ``_step`` takes that step.
     regime_cooldown: int = 0
 
 
@@ -696,12 +700,13 @@ class Engine:
         )
 
     def _run_regime(self, loop: _LoopState) -> int:
-        """Bulk-execute the steps to the next event.
+        """Bulk-execute the steps to the next event, and the step that
+        crosses a phase boundary when it is exact.
 
         Returns the number of steps executed; 0 means this iteration is
-        not bulkable (pending stall, an event within the next couple of
-        steps, no runnable tasks) and the caller should take the
-        single-step path.
+        not bulkable (pending stall, a next step that crosses a phase
+        boundary inexactly or finishes a task, no runnable tasks) and
+        the caller should take the single-step path.
         """
         if loop.pending_stall_s > 0:
             return 0
@@ -739,10 +744,10 @@ class Engine:
         interval = self.governor.interval_s
         max_time = self.config.max_time_s
 
-        # Scalar estimate of the steps to the nearest event: a phase
-        # crossing excludes its step from the regime, the timeout and a
-        # decision boundary include theirs.  Float drift moves the true
-        # event index by at most a step; the exact check below corrects.
+        # Scalar estimate of the plain steps before the nearest event: a
+        # phase crossing excludes its step, the timeout and a decision
+        # boundary include theirs.  Float drift moves the true event
+        # index by at most a step; the exact check below corrects.
         n = int(min(
             (max_time - loop.time_s) / dt, (interval - loop.window_s) / dt
         )) + 1
@@ -750,14 +755,7 @@ class Engine:
             estimate = int((instr - task.instructions_done_in_phase) / budget)
             if estimate < n:
                 n = estimate
-        if n < _MIN_REGIME_STEPS:
-            # The event is provably within the next n + 1 steps, and the
-            # caller falls through to a _step right now -- skip the
-            # doomed re-attempts for the n steps after it.
-            loop.regime_cooldown = n
-            return 0
-        clamped = n > _MAX_REGIME_STEPS
-        if clamped:
+        if n > _MAX_REGIME_STEPS:
             n = _MAX_REGIME_STEPS
 
         # Running totals for everything a constant regime accumulates:
@@ -765,7 +763,8 @@ class Engine:
         # counter-window clock, then ten rows per task (phase progress,
         # lifetime instructions, the four summary fields, the four
         # counter-window fields).  One sequential cumsum resumes all of
-        # them bit-identically to the scalar loop.
+        # them bit-identically to the scalar loop, for the n plain steps
+        # and the step after them.
         counters = device.counters
         bases = [loop.time_s, loop.window_s, counters.elapsed_s]
         for task in running:
@@ -787,22 +786,22 @@ class Engine:
         # totals, every later column the per-step increment, and the
         # accumulate sweeps left to right -- the same strictly
         # sequential summation order as the scalar reference loop.
-        series = np.empty((len(bases), n + 1))
+        series = np.empty((len(bases), n + 2))
         series[:, 0] = bases
         series[:, 1:] = template.increments_col
         np.add.accumulate(series, axis=1, out=series)
 
-        # Exact event check at the regime boundary.  Every per-step
-        # event predicate is monotone in the step index (the underlying
+        # Exact event check of the plain steps.  Every per-step event
+        # predicate is monotone in the step index (the underlying
         # totals only grow), so checking steps ``n`` and ``n - 1``
-        # covers the whole regime:
+        # covers them all:
         # * a crossed phase at step n, or a step whose pre-state
         #   violates ``budget <= instructions - done`` (the condition
         #   for the reference's ``min(budget, left_in_phase)`` to
-        #   reduce to a plain ``+= budget``), must stay out of bulk;
+        #   reduce to a plain ``+= budget``), is not plain;
         # * the timeout and decision events may land exactly on step n
         #   but not earlier.
-        while n >= _MIN_REGIME_STEPS:
+        while n:
             # Python-float columns: the checks below (and the write-back
             # after) read boundary cells many times, and one ``tolist``
             # beats repeated NumPy scalar indexing.
@@ -824,12 +823,12 @@ class Engine:
             if valid:
                 break
             n -= 1
-        if n < _MIN_REGIME_STEPS:
-            loop.regime_cooldown = n
-            return 0
+        else:
+            last = bases
 
-        # Execute the regime.  Phase-entry stamps land at the regime's
-        # first step, exactly where the reference stamps them.
+        # Phase-entry stamps land at the regime's first step, exactly
+        # where the reference stamps them (and where it would stamp
+        # them if the crossing step below falls back to it).
         record = self.config.record_trace
         for task in running:
             if loop.last_phase[task.task_id] != task.phase_index:
@@ -838,9 +837,38 @@ class Engine:
                     loop.trace.phase_starts.append(
                         (loop.time_s, task.task_id, task.current_phase.name)
                     )
+        for position, task in enumerate(running):
+            row = 3 + 10 * position
+            task.instructions_done_in_phase = last[row]
+            task.total_instructions = last[row + 1]
+
+        # The step after the plain ones crosses a phase boundary (or is
+        # a plain step the estimate left out).  Unless a decision or the
+        # timeout ended the plain steps, take it through Task.advance:
+        # when every task retires exactly its budget and none finishes,
+        # _step would account it like a plain step (full utilization,
+        # the template's power and increments), so it is column n + 1.
+        # Otherwise undo the advance and leave the step to _step.
+        steps = n
+        if last[0] < max_time and last[1] + 1e-12 < interval:
+            saved = [task.save_progress() for task in running]
+            now_s = last[0] + dt
+            for task, budget in zip(running, budgets):
+                if task.advance(budget, now_s) != budget or task.finished:
+                    for undone, progress in zip(running, saved):
+                        undone.restore_progress(progress)
+                    if not n:
+                        return 0
+                    # The very next step is this crossing, which only
+                    # _step takes: a fresh attempt would fail again.
+                    loop.regime_cooldown = 1
+                    break
+            else:
+                steps = n + 1
+                last = series[:, steps].tolist()
 
         leak_w, total_w, temp_c = device.thermal.integrate_regime(
-            steps=n,
+            steps=steps,
             dt_s=dt,
             non_leakage_soc_w=template.non_leakage_w,
             rest_of_device_w=template.rest_of_device_w,
@@ -858,8 +886,6 @@ class Engine:
         windows: dict[int, object] = {}
         for position, task in enumerate(running):
             row = 3 + 10 * position
-            task.instructions_done_in_phase = last[row]
-            task.total_instructions = last[row + 1]
             summary = loop.summaries[task.task_id]
             summary.instructions = last[row + 2]
             summary.l2_accesses = last[row + 3]
@@ -877,7 +903,7 @@ class Engine:
 
         if record:
             loop.trace.record_block(
-                times_s=series[0, 1 : n + 1],
+                times_s=series[0, 1 : steps + 1],
                 freq_hz=state.freq_hz,
                 total_power_w=total_w,
                 core_dynamic_w=template.core_dynamic_w,
@@ -885,18 +911,12 @@ class Engine:
                 leakage_w=leak_w,
                 soc_temperature_c=temp_c,
             )
-        # No completion is possible inside a regime (a finish implies a
-        # phase crossing, which ends the regime beforehand), so the
-        # only post-step action left is the decision point.
+        # No completion happens inside a regime (a finishing task sends
+        # its step to _step), so the only post-step action left is the
+        # decision point.
         if last[1] + 1e-12 >= interval:
             self._decide(loop, state)
-        elif not clamped:
-            # The regime ended for a reason other than a decision or the
-            # planning-horizon clamp, so the very next step hits a phase
-            # crossing (or the timeout, which ends the loop anyway): a
-            # fresh attempt would only rediscover that and fail.
-            loop.regime_cooldown = 1
-        return n
+        return steps
 
 
 @dataclass

@@ -39,8 +39,10 @@ def _zero_clock() -> float:
 
 
 #: Stage keys of :attr:`FleetEngine.stage_seconds`: time inside
-#: ``Engine._run_regime`` (bulk regimes, and the attempts that fall
-#: back) and inside ``Engine._step`` (single steps next to events).
+#: ``Engine._run_regime`` (bulk regimes with the exact phase crossings
+#: they absorb, and the attempts that fall back) and inside
+#: ``Engine._step`` (the event steps left: completions, switch stalls
+#: and inexact crossings).
 _STAGES = ("regimes", "scalar_steps")
 
 #: Governor kinds a row spec can name (model-free, so fleet building

@@ -142,6 +142,28 @@ class Task:
         self.total_instructions += retired
         return retired
 
+    def save_progress(self) -> tuple:
+        """The six execution fields :meth:`advance` may change."""
+        return (
+            self.phase_index,
+            self.instructions_done_in_phase,
+            self.total_instructions,
+            self.finished,
+            self.finish_time_s,
+            self.loops_completed,
+        )
+
+    def restore_progress(self, saved: tuple) -> None:
+        """Undo :meth:`advance` calls made since :meth:`save_progress`."""
+        (
+            self.phase_index,
+            self.instructions_done_in_phase,
+            self.total_instructions,
+            self.finished,
+            self.finish_time_s,
+            self.loops_completed,
+        ) = saved
+
     def cancel(self, now_s: float) -> None:
         """Stop the task without completing it (e.g. run ended)."""
         if not self.finished:

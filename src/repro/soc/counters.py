@@ -100,7 +100,8 @@ class CounterSample:
 
 
 #: Shared all-zero window (frozen, so one instance can seed every
-#: first-touch merge in :meth:`CounterBank.add`).
+#: first-touch merge in :meth:`CounterBank.add` and stand for every
+#: untouched window :meth:`CounterBank.window` returns).
 _ZERO_COUNTERS = CoreCounters()
 
 
@@ -148,7 +149,7 @@ class CounterBank:
 
     def window(self, core: int) -> CoreCounters:
         """The currently-accumulating (undrained) window of one core."""
-        return self._windows.get(core, CoreCounters())
+        return self._windows.get(core, _ZERO_COUNTERS)
 
     def install_window(
         self, elapsed_s: float, per_core: dict[int, CoreCounters]

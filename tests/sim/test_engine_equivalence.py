@@ -1,22 +1,28 @@
 """Fast-path vs reference-engine equivalence.
 
-The regime-stepped fast path (:class:`~repro.sim.engine.Engine` with
-``engine="fast"``) must be **bit-identical** to the per-step reference
-loop (:class:`~repro.sim.engine.ReferenceEngine`): every result scalar,
+The regime-stepped fast path (:class:`~repro.sim.engine.Engine`) must
+be **bit-identical** to the per-step reference loop
+(:class:`~repro.sim.engine.ReferenceEngine`): every result scalar,
 task summary, governor decision, trace column, completion and phase
 stamp compares equal with ``==``, not ``approx``.  That guarantee is
 what lets the harness share cached artifacts between the two engines
 without a calibration-tag bump.
 
-Two layers of coverage:
+Three layers of coverage:
 
 * Curated browser workloads across governors x combos x dt x tracing
   (the shapes the experiment campaign actually runs).
+* Deterministic task sets for every exit of the phase-crossing step a
+  regime takes (absorbed, inexact, finishing, two tasks at once, on
+  the decision step, on the timeout step, after a clamped regime),
+  each checking which path took it.
 * Hypothesis-driven synthetic task sets aimed at the event-snapping
   edge cases: phase boundaries landing mid-regime, switch stalls
   spanning a decision boundary, and the timeout cutting a regime
   short.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -215,6 +221,287 @@ class TestBrowserWorkloadEquivalence:
         )
         assert ref.timed_out and fast.timed_out
         assert_bit_identical(ref, fast)
+
+
+# ----------------------------------------------------------------------
+# Crossing steps: every exit of the step a regime takes past its phase
+# boundary
+# ----------------------------------------------------------------------
+_PERF_HZ = 2265.6e6
+
+
+def _character(name: str, instructions: float, cpi_base: float = 1.2):
+    return WorkPhase(
+        name=name,
+        instructions=instructions,
+        cpi_base=cpi_base,
+        l2_apki=18.0,
+        solo_miss_ratio=0.12,
+        working_set_bytes=2 * MIB,
+    )
+
+
+def _fixed_engine(cls, phases_per_task, max_time=30.0):
+    """A perf-pinned 2 ms run of one task per core; the core-0 task
+    gates."""
+    device = Device()
+    tasks = [
+        Task(
+            task_id=f"t{core}", core=core, phases=tuple(phases),
+            gating=(core == 0),
+        )
+        for core, phases in enumerate(phases_per_task)
+    ]
+    return cls(
+        device=device,
+        tasks=tasks,
+        governor=FixedFrequencyGovernor(freq_hz=_PERF_HZ, label="perf"),
+        context=RunContext(spec=device.spec),
+        config=EngineConfig(
+            dt_s=0.002, max_time_s=max_time, record_trace=True
+        ),
+    )
+
+
+def _opening_budgets(phases_per_task):
+    """Each task's instruction budget for one full step of its first
+    phase: the regime template's, which is what _step grants."""
+    engine = _fixed_engine(Engine, phases_per_task)
+    loop = engine._begin()
+    return engine._build_template(loop, engine.device.state, engine.tasks).budgets
+
+
+def _crossing_size(budget, plain_steps, exact, follow):
+    """Instructions of a first phase whose boundary falls in step
+    ``plain_steps + 1``, where ``Task.advance`` then retires exactly the
+    budget (``exact``) or a sum that rounds off it.  ``follow`` is the
+    phase after it (None: the task finishes on that step).  None when
+    no size does."""
+    done = 0.0
+    for _ in range(plain_steps):
+        done += budget
+    for thousandths in range(1000, 0, -1):
+        size = done + budget * thousandths / 1000
+        phases = (_character("probe", size),) + (
+            () if follow is None else (follow,)
+        )
+        probe = Task(task_id="probe", core=0, phases=phases)
+        probe.instructions_done_in_phase = done
+        retired = probe.advance(budget, 0.0)
+        if probe.phase_index == 1 and (retired == budget) == exact:
+            return size
+    return None
+
+
+def _inexact_crossing(plain_steps, follow):
+    """Phases of a task whose first phase crosses exactly in step
+    ``plain_steps + 1``, and whose second, entered with that step's
+    spill, crosses in the next step, where ``Task.advance`` retires a
+    sum that rounds off the budget.
+
+    Only a phase entered less than a budget ago can round so (after a
+    whole step ``left`` is a multiple of the budget's ulp, and
+    ``budget - left`` is exact), and only when round-half-even settles
+    the final tie away from the budget, which depends on the budget's
+    last bit -- so the search also varies the base CPI, which sets it.
+    """
+    for cpi_base in (1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.55, 1.6):
+        budget = _opening_budgets([[_character("first", 1e9, cpi_base)]])[0]
+        done = 0.0
+        for _ in range(plain_steps):
+            done += budget
+        for first_hundredths in range(10, 100, 5):
+            first = done + budget * first_hundredths / 100
+            for second_thousandths in range(1, 1000):
+                phases = [
+                    _character("first", first, cpi_base),
+                    _character(
+                        "second", budget * second_thousandths / 1000, cpi_base
+                    ),
+                    follow,
+                ]
+                probe = Task(task_id="probe", core=0, phases=tuple(phases))
+                probe.instructions_done_in_phase = done
+                if probe.advance(budget, 0.0) != budget \
+                        or probe.phase_index != 1:
+                    continue
+                if probe.advance(budget, 0.0) != budget \
+                        and probe.phase_index == 2:
+                    return phases
+    raise AssertionError("no phase sizes give that crossing")
+
+
+class _Call(NamedTuple):
+    """One ``_run_regime`` or ``_step`` call of a spied run."""
+
+    path: str
+    #: Steps taken (``_run_regime``) or whether the run goes on
+    #: (``_step``).
+    outcome: object
+    #: Tasks whose phase index or finished flag the call changed.
+    moved: tuple
+    decided: bool
+    #: ``Task.restore_progress`` calls made inside the call.
+    restores: int
+
+
+class _PathSpy:
+    """Records which path took each step of a fast-path run."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[_Call] = []
+        self._restores = 0
+        spy = self
+
+        def recorded(path, method):
+            def wrapper(engine, loop):
+                before = [
+                    (task.phase_index, task.finished) for task in engine.tasks
+                ]
+                decisions = len(loop.decisions.times_s)
+                restores = spy._restores
+                outcome = method(engine, loop)
+                moved = tuple(
+                    task.task_id
+                    for task, saved in zip(engine.tasks, before)
+                    if (task.phase_index, task.finished) != saved
+                )
+                spy.calls.append(_Call(
+                    path, outcome, moved,
+                    len(loop.decisions.times_s) > decisions,
+                    spy._restores - restores,
+                ))
+                return outcome
+            return wrapper
+
+        restore = Task.restore_progress
+
+        def counted_restore(task, saved):
+            spy._restores += 1
+            restore(task, saved)
+
+        monkeypatch.setattr(
+            Engine, "_run_regime", recorded("regime", Engine._run_regime)
+        )
+        monkeypatch.setattr(Engine, "_step", recorded("step", Engine._step))
+        monkeypatch.setattr(Task, "restore_progress", counted_restore)
+
+    def movers(self) -> list[_Call]:
+        """The calls that moved some task, in order."""
+        return [call for call in self.calls if call.moved]
+
+
+def _spied_pair(monkeypatch, phases_per_task, **config):
+    """The reference run, then the spied fast run, of one task set."""
+    ref = _fixed_engine(ReferenceEngine, phases_per_task, **config).run()
+    spy = _PathSpy(monkeypatch)
+    fast = _fixed_engine(Engine, phases_per_task, **config).run()
+    assert_bit_identical(ref, fast)
+    return ref, spy
+
+
+class TestCrossingSteps:
+    """The regime takes the step that crosses a phase boundary when
+    ``Task.advance`` retires exactly each budget and no task finishes,
+    and leaves every other crossing to ``_step``; both outcomes stay
+    bit-identical to the reference.  (Each run's last step, the gating
+    task's finish, always falls back.)"""
+
+    FOLLOW = _character("follow", 2e8, cpi_base=0.9)
+
+    def _phases(self, plain_steps, exact, follow=FOLLOW):
+        budget = _opening_budgets([[_character("open", 1e9)]])[0]
+        size = _crossing_size(budget, plain_steps, exact, follow)
+        assert size is not None
+        return [_character("open", size)] + ([follow] if follow else [])
+
+    def test_exact_crossing_is_absorbed(self, monkeypatch):
+        _, spy = _spied_pair(monkeypatch, [self._phases(20, exact=True)])
+        crossing, finish = spy.movers()
+        assert crossing == _Call("regime", 21, ("t0",), False, 0)
+        assert finish.path == "step"
+
+    def test_inexact_crossing_falls_back(self, monkeypatch):
+        _, spy = _spied_pair(
+            monkeypatch, [_inexact_crossing(20, self.FOLLOW)]
+        )
+        assert spy.calls[:3] == [
+            _Call("regime", 21, ("t0",), False, 0),
+            _Call("regime", 0, (), False, 1),
+            _Call("step", True, ("t0",), False, 0),
+        ]
+
+    def test_gating_task_finishing_on_the_crossing_step(self, monkeypatch):
+        # The task's last phase ends exactly at the step's end, so the
+        # step retires its whole budget and only the finish sends it
+        # to _step.  (That needs ``done + budget`` to round up, which
+        # depends on the step count.)
+        budget = _opening_budgets([[_character("open", 1e9)]])[0]
+        plain_steps, size = next(
+            (steps, size)
+            for steps in range(1, 49)
+            if (size := _crossing_size(budget, steps, True, None))
+        )
+        ref, spy = _spied_pair(monkeypatch, [[_character("open", size)]])
+        assert spy.calls == [
+            _Call("regime", plain_steps, (), False, 1),
+            _Call("step", False, ("t0",), False, 0),
+        ]
+        assert ref.load_time_s == ref.trace.times_s[plain_steps]
+
+    def test_two_tasks_crossing_on_one_step(self, monkeypatch):
+        rival_follow = _character("rival-follow", 4e8, cpi_base=1.1)
+        budgets = _opening_budgets(
+            [[_character("open", 1e9)], [_character("rival", 1e9, 1.5)]]
+        )
+        sizes = [
+            _crossing_size(budget, 20, True, follow)
+            for budget, follow in zip(budgets, (self.FOLLOW, rival_follow))
+        ]
+        assert None not in sizes
+        _, spy = _spied_pair(monkeypatch, [
+            [_character("open", sizes[0]), self.FOLLOW],
+            [_character("rival", sizes[1], 1.5), rival_follow],
+        ])
+        assert spy.movers()[0] == _Call("regime", 21, ("t0", "t1"), False, 0)
+
+    def test_crossing_on_the_decision_step(self, monkeypatch):
+        # The perf governor decides every 0.1 s: after step 50 at 2 ms.
+        ref, spy = _spied_pair(monkeypatch, [self._phases(49, exact=True)])
+        assert spy.movers()[0] == _Call("regime", 50, ("t0",), True, 0)
+        assert ref.decisions.times_s[0] == ref.trace.times_s[49]
+
+    def test_crossing_on_the_timeout_step(self, monkeypatch):
+        # The time after 21 steps, summed as the engine sums it.
+        max_time = 0.0
+        for _ in range(21):
+            max_time += 0.002
+        ref, spy = _spied_pair(
+            monkeypatch, [self._phases(20, exact=True)], max_time=max_time
+        )
+        assert ref.timed_out
+        assert spy.calls == [_Call("regime", 21, ("t0",), False, 0)]
+
+    def test_crossing_right_after_a_clamped_regime(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_MAX_REGIME_STEPS", 6)
+        _, spy = _spied_pair(monkeypatch, [self._phases(7, exact=True)])
+        # Six planned plain steps and the plain step after them, then
+        # the crossing as the next regime's only step.
+        assert spy.calls[:2] == [
+            _Call("regime", 7, (), False, 0),
+            _Call("regime", 1, ("t0",), False, 0),
+        ]
+
+    def test_browser_cases_take_few_single_steps(self, monkeypatch):
+        """The ten curated browser runs took 508 ``_step`` calls when
+        every phase crossing went through it; with exact crossings
+        absorbed they take 58 (completions, switch stalls and inexact
+        crossings)."""
+        spy = _PathSpy(monkeypatch)
+        for case in BROWSER_CASES:
+            _browser_run(Engine, *case)
+        steps = sum(1 for call in spy.calls if call.path == "step")
+        assert steps <= 64, steps
 
 
 # ----------------------------------------------------------------------
