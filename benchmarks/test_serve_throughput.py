@@ -1,8 +1,8 @@
 """Serve throughput: batched decision service vs the scalar loop.
 
 Replays a harvested counter-trace fleet through the micro-batching
-decision service -- ``run_fleet_bench`` with one shard and no skip
-cache -- and times the identical request stream through the scalar
+decision service -- ``run_fleet_bench`` without the skip cache --
+and times the identical request stream through the scalar
 per-request path (full prediction table + select_fopt per request,
 exactly DORA's on-device loop).  Records latency percentiles,
 throughput and the measured speedup in ``BENCH_serve.json`` at the
@@ -51,7 +51,6 @@ def test_batched_service_throughput(bench_predictor):
         config,
         harness_config=HarnessConfig(dt_s=0.004),
         combos=all_combos()[:6],
-        workers=1,
         skip_cache=False,
     )
     write_bench_record(BENCH_PATH, result.to_record())

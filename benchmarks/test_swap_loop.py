@@ -53,7 +53,6 @@ def test_swap_loop(bench_predictor, tmp_path):
         config,
         harness_config=HarnessConfig(dt_s=0.004),
         combos=all_combos()[:3],
-        workers=2,
         work_dir=tmp_path,
         repeats=2,
     )

@@ -15,8 +15,8 @@ and adds three project-level conventions:
 * ``self.method()`` resolves to a method of the lexically enclosing
   class (no inheritance walk -- the graph is deliberately first-order);
 * an imported dotted name is matched against the scanned tree by
-  stripping the package prefix (``repro.serve.shard.shard_for`` and a
-  fixture-root ``serve.shard.shard_for`` both land on the same node).
+  stripping the package prefix (``repro.core.ppw.select_fopt`` and a
+  fixture-root ``core.ppw.select_fopt`` both land on the same node).
 
 Calls that resolve to nothing inside the scanned tree are kept as
 *external* edges (``time.time``, ``numpy.random.rand``, ...) -- those
@@ -51,7 +51,7 @@ class CallSite:
 
     Attributes:
         caller: Qualified name of the calling function
-            (``"serve.shard.ProcessShard.dispatch"``).
+            (``"serve.fleet.FleetDecisionService.submit"``).
         callee: Qualified name of the called function when it resolves
             inside the scanned tree, else ``None``.
         external: Dotted external name (``"time.time"``) when the call
@@ -91,7 +91,7 @@ class FunctionNode:
 def module_dotted(path: str) -> str:
     """Dotted module name for a root-relative path.
 
-    ``"serve/shard.py"`` -> ``"serve.shard"``; ``"serve/__init__.py"``
+    ``"serve/fleet.py"`` -> ``"serve.fleet"``; ``"serve/__init__.py"``
     -> ``"serve"``; a root-level ``"__init__.py"`` -> ``""``.
     """
     dotted = path[:-3] if path.endswith(".py") else path
@@ -205,7 +205,7 @@ class CallGraph:
         """Map a resolved dotted name onto a scanned function, if any.
 
         Tries the name as-is, then with the leading package component
-        stripped, so absolute imports (``repro.serve.shard.shard_for``)
+        stripped, so absolute imports (``repro.core.ppw.select_fopt``)
         match the root-relative qualnames the graph is keyed by.
         """
         if dotted in self.functions:

@@ -1,30 +1,30 @@
 """Concurrency-safety rules (R101..R105) for the multi-process layers.
 
-PRs 5-7 grew a fleet of forked worker processes (``serve/shard.py`` on
-:class:`repro.runtime.pool.PersistentWorker`), a 3-verb pipe protocol
-with crash-recovery verb replay, an fsync-batched telemetry store, and
-an atomic model registry.  Each carries invariants that nothing
-checked statically until now:
+The runtime pool (:mod:`repro.runtime.pool`) forks worker processes,
+pickles jobs to them and retries jobs after a crash; the telemetry
+store batches its fsyncs; the model registry publishes atomically.
+Each carries invariants that only these rules check statically:
 
 ========  ==========================================================
-R101      No fork-unsafe state at module level in code that runs
+R101      No fork-unsafe state at module level in code that may run
           inside worker processes (open handles, RNG instances,
           locks created at import time are silently duplicated by
           ``fork`` and shared through inherited descriptors)
 R102      Registry/telemetry publishes are atomic: write a
           same-directory ``*.tmp`` sibling, then ``os.replace`` /
           ``os.rename`` it into place (append-only streams excepted)
-R103      The shard pipe protocol's verb sets are enumerated once
-          and every dispatch site handles every verb (a verb added
-          to the set but not to the worker loop or the router
-          collect path hangs or errors at runtime)
-R104      Payloads sent over shard pipes are picklable by shape: no
-          lambdas or function-local defs/classes in dispatch
+R103      A pipe protocol's verb sets are enumerated once and every
+          dispatch site handles every verb (a verb added to the set
+          but not to every handler hangs or errors at runtime).  No
+          module in the package enumerates verbs today -- the serving
+          router runs in-process -- so the rule's fixtures are what
+          exercise it
+R104      Payloads sent to worker processes are picklable by shape:
+          no lambdas or function-local defs/classes in dispatch
           arguments
 R105      No shared-mutable default arguments in the serving,
           learning, or runtime layers (a mutated default leaks
-          state across requests and, after a respawn replay,
-          across worker generations)
+          state across requests and across retried jobs)
 ========  ==========================================================
 """
 
@@ -52,10 +52,10 @@ WORKER_DISPATCHED = ("serve/", "learn/", "runtime/")
 class ForkUnsafeStateRule(Rule):
     """No live resources constructed at import time in worker code.
 
-    ``PersistentWorker`` forks the router process; every module-level
+    The runtime pool forks its parent process; every module-level
     object in an imported module is duplicated into each worker.  A
     file handle opened at import time shares its descriptor and offset
-    across the fleet; a module-level lock can be copied in the locked
+    across the pool; a module-level lock can be copied in the locked
     state; a module-level RNG gives every worker the same stream.
     Construct these inside ``__init__`` / the worker entry instead, so
     each process owns its own.
@@ -65,7 +65,7 @@ class ForkUnsafeStateRule(Rule):
     title = "no fork-unsafe module-level state in worker-dispatched code"
     rationale = (
         "fork duplicates import-time handles, locks, and RNG state "
-        "into every shard worker, aliasing what must be per-process"
+        "into every worker process, aliasing what must be per-process"
     )
 
     scope = WORKER_DISPATCHED
@@ -315,22 +315,21 @@ def _mentions_tmp(expr: ast.expr) -> bool:
 class PipeProtocolRule(ProjectRule):
     """Every enumerated pipe verb is handled at every dispatch site.
 
-    The shard protocol's verbs are enumerated once, in module-level
-    ``*_VERBS`` frozensets (``serve/shard.py``).  A *dispatch site* is
-    a function comparing one subject expression against two or more of
-    a set's verbs (``verb == "decide"`` chains or ``match`` arms); the
-    rule requires each bound site to compare against the complete set,
-    and flags comparisons against strings outside it (typos).  Adding
-    a verb to the set without teaching both the worker loop and the
-    router collect path about it fails statically instead of hanging a
-    pipe at runtime.
+    A pipe protocol's verbs are enumerated once, in module-level
+    ``*_VERBS`` frozensets.  A *dispatch site* is a function comparing
+    one subject expression against two or more of a set's verbs
+    (``verb == "decide"`` chains or ``match`` arms); the rule requires
+    each bound site to compare against the complete set, and flags
+    comparisons against strings outside it (typos).  Adding a verb to
+    the set without teaching every handler about it fails statically
+    instead of hanging a pipe at runtime.
     """
 
     rule_id = "R103"
     title = "pipe-protocol dispatch must handle every enumerated verb"
     rationale = (
-        "a verb replayed by crash recovery but unknown to the worker "
-        "loop or the collect path stalls or errors the whole shard"
+        "a verb that one handler of the protocol does not know "
+        "stalls or errors its pipe at runtime"
     )
 
     _set_name = re.compile(r".*_VERBS$")
@@ -491,15 +490,15 @@ def _string_comparisons(
 
 
 # ----------------------------------------------------------------------
-# R104 -- unpicklable payload shapes over shard pipes
+# R104 -- unpicklable payload shapes sent to worker processes
 # ----------------------------------------------------------------------
 class UnpicklablePayloadRule(Rule):
     """Nothing sent over a worker pipe may be unpicklable by shape.
 
-    The shard protocol pickles every dispatched payload; a lambda or a
+    Everything sent to a worker process is pickled; a lambda or a
     function-local def/class in the arguments raises
     ``PicklingError`` only at dispatch time -- and only on the process
-    path, since :class:`SerialShard` never pickles.  The rule makes the
+    path, since the serial fallback never pickles.  The rule makes the
     shape error static: no lambdas and no function-local callables in
     the arguments of ``send``/``dispatch``/``submit`` calls in
     worker-dispatched code.
@@ -509,7 +508,7 @@ class UnpicklablePayloadRule(Rule):
     title = "no lambdas or local defs in pipe-dispatched payloads"
     rationale = (
         "pickle rejects lambdas and local classes only at runtime, and "
-        "only on the process-shard path the serial tests never take"
+        "only on the process path the serial tests never take"
     )
 
     scope = WORKER_DISPATCHED
@@ -593,17 +592,17 @@ def _local_callable_names(
 class MutableDefaultRule(Rule):
     """No mutable default arguments in serve/learn/runtime code.
 
-    A mutable default is evaluated once and shared by every call -- and
-    in the fleet, by every request a worker serves across its lifetime,
-    including batches replayed after a crash respawn.  State smuggled
-    through one breaks the purity argument that makes retry idempotent.
+    A mutable default is evaluated once and shared by every call -- by
+    every request the router serves across its lifetime, and by every
+    job the runtime pool retries after a crash.  State smuggled through
+    one breaks the purity argument that makes retry idempotent.
     """
 
     rule_id = "R105"
     title = "no shared-mutable default arguments in serving layers"
     rationale = (
         "a mutated default argument carries state between requests and "
-        "across crash-recovery replays, breaking retry idempotence"
+        "across retried jobs, breaking retry idempotence"
     )
 
     scope = WORKER_DISPATCHED
@@ -632,7 +631,7 @@ class MutableDefaultRule(Rule):
                             module,
                             default,
                             f"mutable default argument ({what}) is shared "
-                            "across every call and every replayed batch; "
+                            "across every call and every retried job; "
                             "default to None and construct per call",
                         )
                     )

@@ -160,7 +160,6 @@ def make_decision_service(
 
 def make_fleet_service(
     predictor: DoraPredictor | None = None,
-    workers: int = 4,
     skip_cache: bool = True,
     skip_tolerance: float = 0.0,
     max_batch_size: int = 64,
@@ -168,25 +167,22 @@ def make_fleet_service(
     include_leakage: bool = True,
     qos_margin: float = 0.0,
 ):
-    """A ready sharded :class:`repro.serve.FleetDecisionService`.
+    """A ready :class:`repro.serve.FleetDecisionService`.
 
-    Device sessions are hash-partitioned across ``workers`` shard
-    processes (serial in-process shards when the runtime's downgrade
-    rules apply), each fronted by a session-aware skip cache.  fopt is
-    bit-identical to :func:`make_decision_service` for every request;
-    see :mod:`repro.serve.fleet` for the contract.
+    The in-process micro-batching router fronted by a session-aware
+    skip cache.  fopt is bit-identical to :func:`make_decision_service`
+    for every request; see :mod:`repro.serve.fleet` for the contract.
 
-    The returned service owns worker processes -- use it as a context
-    manager or call ``close()`` when done.
+    The returned service may own a telemetry writer -- use it as a
+    context manager or call ``close()`` when done.
 
     Args:
         predictor: Trained bundle (default: :func:`default_predictor`).
-        workers: Shard count.
         skip_cache: Enable the unchanged-vector short circuit.
         skip_tolerance: Absolute per-feature drift a skip may absorb
             (``0.0`` = exact-match only, lossless).
-        max_batch_size: Per-shard flush-on-size threshold.
-        max_wait_s: Per-shard flush-on-wait budget.
+        max_batch_size: Flush-on-size threshold.
+        max_wait_s: Flush-on-wait budget.
         include_leakage: ``False`` serves the DORA_no_lkg ablation.
         qos_margin: Deadline safety margin in ``[0, 1)``.
     """
@@ -196,7 +192,6 @@ def make_fleet_service(
     return FleetDecisionService(
         predictor if predictor is not None else default_predictor(),
         config=FleetConfig(
-            workers=workers,
             service=ServiceConfig(
                 max_batch_size=max_batch_size,
                 max_wait_s=max_wait_s,

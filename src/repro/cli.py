@@ -5,11 +5,11 @@ Commands:
 * ``list`` -- the available pages, co-runner kernels, and governors.
 * ``run`` -- load one page under a governor and print the measurement.
 * ``sweep`` -- fixed-frequency sweep of one workload (oracle analysis).
-* ``fleet-bench`` -- benchmark the sharded multi-process fleet service
-  (shard workers + session-aware skip cache) against the
-  single-process batched service and the scalar loop (latency
-  percentiles, throughput, speedups, fopt equivalence);
-  ``--workers 1 --no-skip-cache`` times the batched service alone.
+* ``fleet-bench`` -- benchmark the fleet router (micro-batching +
+  session-aware skip cache) against the single-process batched
+  service and the scalar loop (latency percentiles, throughput,
+  speedups, fopt equivalence); ``--no-skip-cache`` times the batched
+  service alone.
 * ``sim-bench`` -- benchmark the regime-stepped simulator fast path
   against the per-step reference loop (per-case timings, campaign
   aggregate, result equivalence).
@@ -109,10 +109,10 @@ def _add_replay_flags(
     parser.add_argument("--devices", type=int, default=32)
     parser.add_argument("--requests", type=int, default=requests_default)
     parser.add_argument(
-        "--batch-size", type=int, default=64, help="per-shard flush-on-size"
+        "--batch-size", type=int, default=64, help="flush-on-size"
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, help="per-shard flush-on-wait"
+        "--max-wait-ms", type=float, default=5.0, help="flush-on-wait"
     )
     parser.add_argument(
         "--qps", type=float, default=5000.0, help="virtual arrival rate"
@@ -361,7 +361,6 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
         _loadgen_config(args),
         harness_config=harness,
         combos=combos,
-        workers=args.workers,
         skip_cache=not args.no_skip_cache,
         skip_tolerance=args.skip_tolerance,
         repeats=args.repeats,
@@ -371,10 +370,6 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     latency = record["latency"]
     mismatches = (
         record["fopt_mismatches_vs_single"] + record["fopt_mismatches_vs_scalar"]
-    )
-    print(
-        f"topology    : {record['workers']} shards, {record['mode']} mode, "
-        f"{record['worker_restarts']} restarts"
     )
     print(f"trace source: {record['trace_source']}")
     print(f"requests    : {record['requests']} over {record['devices']} devices")
@@ -443,7 +438,6 @@ def _cmd_swap_bench(args: argparse.Namespace) -> int:
         _loadgen_config(args),
         harness_config=harness,
         combos=combos,
-        workers=args.shards,
         work_dir=args.work_dir,
         repeats=args.repeats,
         promote_threshold=args.promote_threshold,
@@ -451,9 +445,6 @@ def _cmd_swap_bench(args: argparse.Namespace) -> int:
     record = result.to_record(repeats=args.repeats)
     retrain = record["retrain"]
     swap = record["swap"]
-    print(
-        f"topology    : {record['workers']} shards, {record['mode']} mode"
-    )
     print(
         f"harvest     : {record['telemetry_records']} telemetry records "
         f"over {record['devices']} devices"
@@ -708,11 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_parser = commands.add_parser(
         "fleet-bench",
-        help="benchmark the sharded fleet service with skip cache",
-    )
-    fleet_parser.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="shard count (worker processes when the host allows)",
+        help="benchmark the fleet router with its skip cache",
     )
     _add_replay_flags(fleet_parser, requests_default=4096)
     fleet_parser.add_argument(
@@ -741,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         "swap-bench",
         help="benchmark the online learning loop (harvest -> retrain -> "
         "shadow -> hot-swap)",
-    )
-    swap_parser.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="fleet shard count (worker processes when the host allows)",
     )
     _add_replay_flags(swap_parser, requests_default=2048)
     swap_parser.add_argument(

@@ -24,6 +24,14 @@ from typing import Any, Iterable, Sequence
 #: Schema tag of the shared benchmark-report envelope.
 BENCH_ENVELOPE_SCHEMA = "repro-bench-envelope/1"
 
+#: The bench records at the repository root, left out of the
+#: ``git_dirty`` check: benchmarks rewrite their tracked record in
+#: place, and a second bench run in a clean checkout must not read the
+#: first one's record as a source change.  ``top`` anchors the pattern
+#: at the repository root (:func:`_git` runs in this module's
+#: directory); ``glob`` keeps ``*`` from crossing a ``/``.
+_BENCH_RECORDS_PATHSPEC = ":(top,exclude,glob)BENCH_*.json"
+
 
 def _git(*args: str) -> str | None:
     """Stdout of a git command in this checkout, ``None`` if it failed."""
@@ -64,11 +72,13 @@ def bench_envelope(
     Returns:
         ``{"schema", "command", "git_sha", "git_dirty", "calibration",
         "host_cpu_count", "degraded_host", "repeats", ...extra}``;
-        ``git_dirty`` is whether tracked files differ from ``git_sha``
+        ``git_dirty`` is whether tracked files other than the
+        root-level ``BENCH_*.json`` records differ from ``git_sha``
         (``None`` when the commit is unknown), and ``calibration`` is
         :func:`repro.experiments.fingerprint.calibration_identity`;
         a live fingerprint that differs from the pinned one is warned
-        about on stderr.  ``degraded_host`` is true on single-CPU
+        about on stderr, and :func:`write_bench_record` refuses to
+        write it.  ``degraded_host`` is true on single-CPU
         hosts, where concurrency and vectorization speedups are
         structurally unavailable -- comparisons against multi-core
         acceptance bars (e.g. a sub-1.0 "speedup" in
@@ -96,7 +106,10 @@ def bench_envelope(
     revision = git_revision()
     dirty = None
     if revision != "unknown":
-        status = _git("status", "--porcelain", "--untracked-files=no")
+        status = _git(
+            "status", "--porcelain", "--untracked-files=no",
+            "--", _BENCH_RECORDS_PATHSPEC,
+        )
         dirty = None if status is None else bool(status.strip())
     envelope: dict[str, Any] = {
         "schema": BENCH_ENVELOPE_SCHEMA,
@@ -122,12 +135,22 @@ def write_bench_record(path: str | Path, record: dict[str, Any]) -> None:
             ``"envelope"``.
 
     Raises:
-        ValueError: When the record has no shared bench envelope.
+        ValueError: When the record has no shared bench envelope, or
+            its calibration fingerprint is not the pinned one (the
+            numbers would not trace to a pinned calibration).
     """
     envelope = record.get("envelope")
     schema = envelope.get("schema") if isinstance(envelope, dict) else None
     if schema != BENCH_ENVELOPE_SCHEMA:
         raise ValueError(f"bench record lacks a {BENCH_ENVELOPE_SCHEMA} envelope")
+    calibration = envelope.get("calibration") or {}
+    fingerprint = calibration.get("fingerprint")
+    pinned = calibration.get("pinned_fingerprint")
+    if fingerprint is None or fingerprint != pinned:
+        raise ValueError(
+            f"bench record's calibration fingerprint {fingerprint} is not "
+            f"the pinned {pinned}"
+        )
     Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
 

@@ -6,7 +6,7 @@ package is that loop, production-shaped:
 
 * :mod:`repro.learn.telemetry` -- append-only, fsync-batched JSONL
   store the fleet streams decision records into, partitioned by
-  calibration fingerprint and session shard so writes never contend.
+  calibration fingerprint and writer shard so writes never contend.
 * :mod:`repro.learn.retrain` -- replays harvested records through
   :mod:`repro.models.training` on the runtime pool to refit the
   piecewise surfaces, with the exact-recovery labeling that makes

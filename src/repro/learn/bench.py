@@ -85,7 +85,6 @@ class SwapBenchResult:
         retrain: The retraining run's counts and registry version.
         swap: The mid-stream hot-swap phase.
         telemetry_records: Records harvested into the store.
-        workers: Fleet shard count.
     """
 
     baseline_report: LoadgenReport
@@ -96,15 +95,12 @@ class SwapBenchResult:
     retrain: RetrainResult
     swap: SwapPhaseResult
     telemetry_records: int
-    workers: int
 
     def to_record(self, repeats: int = 1) -> dict[str, Any]:
         """The ``BENCH_swap.json`` payload (envelope included)."""
         config = self.baseline_report.config
         return {
             "envelope": bench_envelope("swap-bench", repeats=repeats),
-            "workers": self.workers,
-            "mode": self.baseline_report.mode,
             "devices": config.devices,
             "requests": config.requests,
             "revisit_period": config.revisit_period,
@@ -160,7 +156,6 @@ def run_swap_bench(
     config: LoadgenConfig | None = None,
     harness_config: HarnessConfig | None = None,
     combos: Sequence[WorkloadCombo] | None = None,
-    workers: int = 4,
     work_dir: str | Path | None = None,
     repeats: int = 1,
     promote_threshold: float = 0.0,
@@ -174,7 +169,6 @@ def run_swap_bench(
             paths are exercised too).
         harness_config: Simulator config for trace harvesting.
         combos: Workloads to harvest (default: first six suite combos).
-        workers: Fleet shard count.
         work_dir: Directory for the telemetry store and registry
             (default: a ``swap-bench`` subtree of the repro cache).
         repeats: Timed repetitions of the baseline/shadow replays; the
@@ -203,10 +197,10 @@ def run_swap_bench(
 
     traces = harvest_traces(combos=combos, config=harness_config)
     schedule = uniform_request_schedule(traces, config)
-    fleet_config = FleetConfig(workers=workers, service=config.service_config())
+    fleet_config = FleetConfig(service=config.service_config())
 
     # Phase 1: harvest telemetry (untimed; this replay also warms the
-    # kernels and worker processes for the timed phases).
+    # kernels for the timed phases).
     with FleetDecisionService(predictor, fleet_config) as fleet:
         fleet.attach_telemetry(store)
         replay(fleet, schedule, config)
@@ -276,5 +270,4 @@ def run_swap_bench(
         retrain=retrain,
         swap=swap_phase,
         telemetry_records=telemetry_records,
-        workers=workers,
     )

@@ -14,9 +14,9 @@ Records land under ``<root>/<CALIBRATION_FINGERPRINT>/shard-NNNN.jsonl``:
 * **fingerprint partition** -- telemetry is only meaningful against
   the model constants that produced it, so records trained under a
   different calibration can never silently mix into a refit;
-* **shard partition** -- the fleet router hands each shard its own
-  writer, so concurrent shards append to distinct files and writes
-  never contend (the single-writer-per-file rule that makes plain
+* **shard partition** -- each concurrent writer owns its own file
+  (the fleet router is one writer, on shard 0), so writes never
+  contend (the single-writer-per-file rule that makes plain
   ``O_APPEND`` JSONL safe without locks);
 * **fsync batching** -- a writer buffers ``batch_size`` encoded lines
   and issues one ``write + flush + fsync`` per batch, amortizing the

@@ -12,10 +12,8 @@ package fans them out over a process pool while keeping results
 * :mod:`repro.runtime.pool` -- :func:`run_jobs`: cache-aware
   scheduling, per-job wall-clock timeouts, bounded crash retry with
   backoff, and graceful serial fallback (``REPRO_WORKERS=0``, nested
-  calls, or an unstartable pool).  Also the reusable worker-lifecycle
-  primitives serving topologies build on: :class:`PersistentWorker`
-  (long-lived message-loop processes), :func:`mp_context` and
-  :func:`serial_downgrade_reason`.
+  calls, or an unstartable pool), with :func:`serial_downgrade_reason`
+  deciding when a pool would lose to serial execution.
 * :mod:`repro.runtime.progress` -- job-level telemetry with periodic
   one-line reports, hooked by the CLI's ``--workers`` flag.
 
@@ -39,7 +37,6 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.pool import (
     JobTimeoutError,
-    PersistentWorker,
     WORKER_ENV,
     WORKERS_ENV,
     configure,
@@ -57,7 +54,6 @@ __all__ = [
     "JobError",
     "JobResult",
     "JobTimeoutError",
-    "PersistentWorker",
     "ProgressSnapshot",
     "ProgressTracker",
     "WORKER_ENV",

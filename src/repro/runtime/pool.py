@@ -211,124 +211,6 @@ def mp_context():
 
 
 # ----------------------------------------------------------------------
-# Persistent workers (long-lived serving processes)
-# ----------------------------------------------------------------------
-def _persistent_worker_main(conn, target, args) -> None:
-    """Child-side entry: standard worker marking, then the message loop."""
-    _worker_init()
-    try:
-        target(conn, *args)
-    finally:
-        conn.close()
-
-
-class PersistentWorker:
-    """One long-lived worker process speaking picklable messages.
-
-    :func:`run_jobs`' pool is one-shot: a worker picks up a job, runs
-    it, and forgets everything.  Serving topologies
-    (:mod:`repro.serve.fleet`) instead need workers that *keep* state
-    across requests -- a shard's decision service, its session
-    registry.  This class owns exactly the process-lifecycle slice of
-    that problem: spawn under the runtime's multiprocessing context,
-    mark the child with :data:`WORKER_ENV` (so nested ``run_jobs``
-    calls inside it stay serial instead of forking pools of their
-    own), expose the parent's pipe end, and support kill/respawn.
-
-    Retry *policy* (attempt budgets, backoff, re-dispatch of in-flight
-    work) deliberately stays with the caller -- what "retry" means
-    depends on the protocol spoken over the pipe.
-
-    Args:
-        target: ``target(conn, *args)`` run in the child; it owns the
-            message loop and returns to exit.
-        args: Extra arguments for ``target``.  Under the fork context
-            they are inherited; under spawn they must pickle.
-        name: Process-name suffix for debugging.
-    """
-
-    def __init__(self, target, args=(), name: str = "worker") -> None:
-        self.target = target
-        self.args = tuple(args)
-        self.name = name
-        #: Times a process was started (1 after construction; each
-        #: :meth:`restart` adds one).
-        self.spawns = 0
-        self._process = None
-        self._conn = None
-        self.start()
-
-    @property
-    def alive(self) -> bool:
-        """Whether the worker process is currently running."""
-        return self._process is not None and self._process.is_alive()
-
-    def start(self) -> None:
-        """Spawn the worker process (no-op if it is already alive)."""
-        if self.alive:
-            return
-        context = mp_context()
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=_persistent_worker_main,
-            args=(child_conn, self.target, self.args),
-            name=f"repro-{self.name}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._process = process
-        self._conn = parent_conn
-        self.spawns += 1
-
-    def send(self, message) -> None:
-        """Send one message (raises ``BrokenPipeError`` if it died)."""
-        if self._conn is None:
-            raise BrokenPipeError("worker is not running")
-        self._conn.send(message)
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a reply is ready within ``timeout`` seconds."""
-        if self._conn is None:
-            return False
-        return self._conn.poll(timeout)
-
-    def recv(self):
-        """Receive one message (raises ``EOFError`` if it died)."""
-        if self._conn is None:
-            raise EOFError("worker is not running")
-        return self._conn.recv()
-
-    def restart(self) -> None:
-        """Kill (if needed) and respawn the worker process."""
-        self._teardown()
-        self.start()
-
-    def stop(self, message=None, timeout_s: float = 2.0) -> None:
-        """Shut the worker down, optionally sending a goodbye message."""
-        if self._process is None:
-            return
-        if message is not None and self.alive:
-            try:
-                self._conn.send(message)
-            except (BrokenPipeError, OSError):
-                pass
-        self._process.join(timeout_s)
-        self._teardown()
-
-    def _teardown(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-        if self._process is not None:
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join(1.0)
-            self._process.close()
-            self._process = None
-
-
-# ----------------------------------------------------------------------
 # The batch runner
 # ----------------------------------------------------------------------
 def run_jobs(

@@ -24,15 +24,12 @@ The package splits along those lines:
   (:func:`~repro.serve.loadgen.run_fleet_bench`): decision latency
   percentiles, throughput and fopt cross-checks against the
   single-process service and the scalar loop (``BENCH_fleet.json``;
-  its one-shard, no-skip-cache run is ``BENCH_serve.json``).
-* :mod:`repro.serve.shard` -- device-hash partitioning and the shard
-  worker protocol (one long-lived decision pass per worker process,
-  built on :class:`repro.runtime.pool.PersistentWorker`).
-* :mod:`repro.serve.fleet` -- the micro-batching router: multi-process
-  serving with a session-aware skip cache
+  its no-skip-cache run is ``BENCH_serve.json``).
+* :mod:`repro.serve.fleet` -- the in-process micro-batching router:
+  admission, a session-aware skip cache, one batch buffer and one
+  decision pass per batch
   (:class:`~repro.serve.fleet.FleetDecisionService`), and its
-  single-process configuration
-  (:class:`~repro.serve.fleet.DecisionService`).
+  no-skip-cache form (:class:`~repro.serve.fleet.DecisionService`).
 
 Submodules are imported lazily: ``batch_predictor`` sits *below*
 :mod:`repro.models.predictor` in the dependency order (the scalar
@@ -59,9 +56,6 @@ _EXPORTS = {
     "FleetDecisionService": "repro.serve.fleet",
     "FleetStats": "repro.serve.fleet",
     "SkipCache": "repro.serve.fleet",
-    "ProcessShard": "repro.serve.shard",
-    "SerialShard": "repro.serve.shard",
-    "shard_for": "repro.serve.shard",
     "CounterObservation": "repro.serve.loadgen",
     "DeviceTrace": "repro.serve.loadgen",
     "FleetBenchResult": "repro.serve.loadgen",

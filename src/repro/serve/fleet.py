@@ -1,22 +1,12 @@
 """repro.serve.fleet -- the micro-batching decision router.
 
-The router is the serving stack's one front-end: admission, the skip
-cache, per-shard micro-batch buffering, ticket bookkeeping, sessions
-and counters.  Each dispatched batch is evaluated exactly once, by a
-shard's :class:`~repro.serve.service.DecisionPass`.  One process
-saturates a core long before it saturates a fleet -- the model pass is
-vectorized, but it is one process -- so the router hash-partitions
-device sessions across N shard workers
-(:func:`repro.serve.shard.shard_for`), each in its own process.
-:class:`DecisionService`, the single-process service, is the router
-with one in-process shard and no skip cache.
-
-Sharding by *device* -- not round-robin by request -- makes the
-partition a pure function of the request stream: a device's batches
-always go to the same shard, and its telemetry to the same shard file.
-Shards keep no state of their own (sessions, skip anchors, tickets and
-counters are the router's), so nothing is ever split or merged across
-processes.
+The router is the serving stack's one front-end and runs in the
+caller's process: admission, then the skip cache, then one micro-batch
+buffer, then one :class:`~repro.serve.service.DecisionPass` per
+dispatched batch.  Tickets, sessions, skip anchors and counters all
+live here, so every counter is a function of the request stream alone.
+:class:`DecisionService`, the plain single-process service, is the
+router without the skip cache.
 
 The skip cache is DORA's own amortization, lifted fleet-side.  On the
 phone, Algorithm 1 re-runs every interval but the actuator skips the
@@ -31,9 +21,8 @@ makes the cache lossless while still absorbing exact revisit traffic.
 Bit-identity contract
 ---------------------
 Every response's ``fopt_hz`` is bit-identical to the scalar
-``DoraGovernor`` for the same request, regardless of shard count,
-execution mode (process/serial), or whether it was answered by a shard
-pass or a skip-cache hit.
+``DoraGovernor`` for the same request, whether it was answered by a
+model pass or a skip-cache hit.
 """
 
 from __future__ import annotations
@@ -42,12 +31,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.runtime.pool import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_MAX_ATTEMPTS,
-    in_worker,
-    serial_downgrade_reason,
-)
 from repro.serve.service import (
     DecisionPass,
     DecisionRequest,
@@ -56,20 +39,17 @@ from repro.serve.service import (
     ServiceConfig,
 )
 from repro.serve.sessions import DeviceSession, SessionRegistry
-from repro.serve.shard import make_shards, shard_for
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Tunables of the sharded serving topology.
+    """Tunables of the decision router.
 
     Attributes:
-        workers: Shard count.  Each shard gets its own worker process
-            when the runtime allows one
-            (:func:`repro.runtime.pool.serial_downgrade_reason`);
-            otherwise the same shards run in-process, preserving the
-            partitioning and batch boundaries exactly.
-        service: Per-shard :class:`ServiceConfig` (batching window,
+        workers: Accepted only as ``1`` and read by nothing: perfbench's
+            ``serve`` workload still passes ``workers=1``, and the
+            field goes with the next change to the benchmark.
+        service: The router's :class:`ServiceConfig` (batching window,
             leakage ablation, QoS margin, session TTL).
         skip_cache: Enable the session-aware short circuit.  ``False``
             evaluates every admitted request.
@@ -78,26 +58,18 @@ class FleetConfig:
             the session's cached response.  ``0.0`` (default) requires
             exact equality and is lossless; larger values trade
             decision freshness for evaluation work.
-        max_attempts: Submission attempts per dispatched batch across
-            worker crashes (the runtime pool's retry discipline).
-        backoff_s: Base sleep before a worker respawn (doubles per
-            consecutive crash).
     """
 
-    workers: int = 4
+    workers: int = 1
     service: ServiceConfig = field(default_factory=ServiceConfig)
     skip_cache: bool = True
     skip_tolerance: float = 0.0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    backoff_s: float = DEFAULT_BACKOFF_S
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("fleet needs at least one worker")
+        if self.workers != 1:
+            raise ValueError("the router runs in-process: workers must be 1")
         if self.skip_tolerance < 0:
             raise ValueError("skip tolerance must be non-negative")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
 @dataclass
@@ -127,7 +99,7 @@ class FleetStats:
         return self.skips_total / self.requests_total
 
     def mean_batch_size(self) -> float:
-        """Mean evaluated requests per model pass, across all shards."""
+        """Mean evaluated requests per model pass."""
         if self.batches_total == 0:
             return 0.0
         return self.accepted_total / self.batches_total
@@ -244,28 +216,34 @@ class SkipCache:
 
 @dataclass
 class _Buffered:
-    """One admitted request waiting in a shard's router-side buffer."""
+    """One admitted request waiting in the router's micro-batch buffer."""
 
     ticket: int
     request: DecisionRequest
     enqueued_s: float
 
 
+#: One dispatched batch awaiting absorption: its buffered entries, one
+#: ``(fopt_hz, trace)`` answer per entry, and the model version that
+#: decided it.
+_Decided = tuple[list[_Buffered], list[tuple[float, DecisionTrace]], int]
+
+
 class FleetDecisionService:
-    """The micro-batching decision router over one or more shards.
+    """The in-process micro-batching decision router.
 
     Single-threaded and cooperative: callers ``submit`` requests and
     drive flushing via the return value of ``submit`` (a batch filled),
     ``poll`` (a wait budget expired) or ``flush`` (force); ``decide``
     wraps the three for synchronous one-shot batches.  ``submit`` and
-    ``poll`` may return responses for *earlier* tickets (whatever the
-    shards finished since the last call); ``decide`` returns its whole
-    batch in ticket order.
+    ``poll`` may return responses for *earlier* tickets (the batches
+    decided since the last call); ``decide`` returns its whole batch in
+    ticket order.
 
     Args:
-        predictor: Trained bundle; the router admits with its
-            :class:`DecisionPass` and each shard evaluates with its own.
-        config: Fleet topology and skip-cache tunables.
+        predictor: Trained bundle; one :class:`DecisionPass` over it
+            admits requests and evaluates every dispatched batch.
+        config: Batching and skip-cache tunables.
         clock: Monotonic-seconds source (tests inject virtual clocks).
     """
 
@@ -279,32 +257,6 @@ class FleetDecisionService:
         self.clock = clock
         self.stats = FleetStats()
         service_config = self.config.service
-        reason = serial_downgrade_reason(self.config.workers)
-        if reason is None and in_worker():
-            reason = "nested inside a pool worker"
-        if reason is None and self.config.workers == 1:
-            # Only REPRO_FORCE_POOL=1 gets here: serial_downgrade_reason
-            # already calls a one-worker pool pure overhead, and one
-            # shard stays in-process regardless, so DecisionService
-            # never owns a worker process.
-            reason = "one shard runs in-process"
-        self.mode = "process" if reason is None else f"serial ({reason})"
-        # Partitioning pays only when shards are real processes; in
-        # serial mode everything routes to one in-process shard, so
-        # misses batch together instead of splintering into per-shard
-        # micro-passes (decisions are batch-invariant, so the batch
-        # boundaries may differ between modes without changing bits).
-        self._shard_count = self.config.workers if reason is None else 1
-        self.shards = make_shards(
-            predictor,
-            service_config,
-            shards=self._shard_count,
-            process_based=reason is None,
-            max_attempts=self.config.max_attempts,
-            backoff_s=self.config.backoff_s,
-        )
-        # Router-side registry: session anchors for the skip cache and
-        # the authoritative TTL bookkeeping over the whole device set.
         self.registry = SessionRegistry(
             ttl_s=service_config.session_ttl_s, clock=clock
         )
@@ -313,24 +265,21 @@ class FleetDecisionService:
             if self.config.skip_cache
             else None
         )
-        #: Admission and the fmax fallback; shards evaluate with their
-        #: own pass over the same bundle.
+        #: Admission, the fmax fallback and every batch's model pass.
         self.decision = DecisionPass(predictor, service_config)
-        self._buffers: list[list[_Buffered]] = [
-            [] for _ in range(self._shard_count)
-        ]
-        #: ticket -> (originating request, model version at dispatch,
-        #: router-clock enqueue time), alive while a shard holds it.
-        #: The version tag keeps a pre-swap decision absorbed *after*
-        #: the swap from anchoring a stale response in the skip cache.
-        self._inflight: dict[int, tuple[DecisionRequest, int, float]] = {}
+        self._buffer: list[_Buffered] = []
+        #: Batches decided but not yet answered.  A batch is answered
+        #: by the next submit/poll/flush, with that call's ``now``; the
+        #: version tag keeps a pre-swap decision absorbed *after* the
+        #: swap from anchoring a stale response in the skip cache.
+        self._decided: list[_Decided] = []
         self._next_ticket = 0
         self._closed = False
-        #: Bumped on every swap_model; tags dispatched tickets and
+        #: Bumped on every swap_model; tags dispatched batches and
         #: telemetry records.
         self.model_version = 0
         self._telemetry_store = None
-        self._telemetry_writers: dict[int, object] = {}
+        self._telemetry_writer = None
         self._shadow = None
         self._shadow_candidate = None
 
@@ -344,8 +293,8 @@ class FleetDecisionService:
 
         Ready responses are: an immediate rejection (admission fails:
         answered with fmax, never occupying a batch slot), a skip-cache
-        replay, and any shard results that arrived since the last call
-        (including batches this submission just filled).
+        replay, and every batch decided since the last call (including
+        one this submission just filled).
         """
         now = self.clock() if now is None else now
         ticket = self._next_ticket
@@ -368,39 +317,34 @@ class FleetDecisionService:
                 self.stats.skips_total += 1
                 self._record_telemetry(request, hit, now)
                 return [hit] + self._collect(now)
-        shard_index = shard_for(request.device_id, self._shard_count)
-        buffer = self._buffers[shard_index]
-        buffer.append(_Buffered(ticket, request, now))
-        if len(buffer) >= self.config.service.max_batch_size:
+        self._buffer.append(_Buffered(ticket, request, now))
+        if len(self._buffer) >= self.config.service.max_batch_size:
             self.stats.flushes_on_size += 1
-            self._dispatch(shard_index)
+            self._dispatch()
         return self._collect(now)
 
     def poll(self, now: float | None = None) -> list[DecisionResponse]:
-        """Flush wait-expired shard buffers and harvest shard results."""
+        """Flush the buffer once its wait budget expired; answer batches."""
         now = self.clock() if now is None else now
-        for shard_index, buffer in enumerate(self._buffers):
-            if (
-                buffer
-                and now - buffer[0].enqueued_s >= self.config.service.max_wait_s
-            ):
-                self.stats.flushes_on_wait += 1
-                self._dispatch(shard_index)
+        if (
+            self._buffer
+            and now - self._buffer[0].enqueued_s >= self.config.service.max_wait_s
+        ):
+            self.stats.flushes_on_wait += 1
+            self._dispatch()
         return self._collect(now)
 
     def pending(self) -> int:
-        """Requests buffered at the router or in flight to a shard."""
-        return sum(len(buffer) for buffer in self._buffers) + len(self._inflight)
+        """Requests buffered or decided but not yet answered."""
+        return len(self._buffer) + sum(
+            len(entries) for entries, _, _ in self._decided
+        )
 
     def flush(self, now: float | None = None) -> list[DecisionResponse]:
-        """Dispatch every buffer and drain every shard to completion."""
+        """Dispatch the buffer and answer everything outstanding."""
         now = self.clock() if now is None else now
-        for shard_index in range(self._shard_count):
-            self._dispatch(shard_index)
-        responses: list[DecisionResponse] = []
-        for shard in self.shards:
-            for tickets, answers in shard.drain():
-                responses.extend(self._absorb(tickets, answers, now))
+        self._dispatch()
+        responses = self._collect(now)
         self.registry.evict_expired(now)
         return responses
 
@@ -420,21 +364,15 @@ class FleetDecisionService:
     # Telemetry and lifecycle
     # ------------------------------------------------------------------
     def merged_stats(self) -> FleetStats:
-        """A snapshot of :attr:`stats`, which the router counts whole."""
+        """A snapshot of :attr:`stats`."""
         return replace(self.stats)
 
-    def worker_restarts(self) -> int:
-        """Total shard-worker respawns after crashes."""
-        return sum(shard.restarts for shard in self.shards)
-
     def close(self) -> None:
-        """Stop every shard worker and flush telemetry (idempotent)."""
+        """Flush and close the telemetry writer (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self.detach_telemetry()
-        for shard in self.shards:
-            shard.close()
 
     def __enter__(self) -> "FleetDecisionService":
         return self
@@ -443,53 +381,50 @@ class FleetDecisionService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Shard plumbing
+    # Batching
     # ------------------------------------------------------------------
-    def _dispatch(self, shard_index: int) -> None:
-        """Hand a shard its buffer: one batch, one model pass."""
-        buffer = self._buffers[shard_index]
+    def _dispatch(self) -> None:
+        """Decide the buffer: one batch, one model pass."""
+        buffer = self._buffer
         if not buffer:
             return
-        self._buffers[shard_index] = []
+        self._buffer = []
         self.stats.batches_total += 1
         self.stats.accepted_total += len(buffer)
         self.stats.largest_batch = max(self.stats.largest_batch, len(buffer))
-        for entry in buffer:
-            self._inflight[entry.ticket] = (
-                entry.request, self.model_version, entry.enqueued_s
-            )
-        self.shards[shard_index].dispatch(
-            [entry.ticket for entry in buffer],
-            [entry.request for entry in buffer],
-        )
+        answers = self.decision.decide([entry.request for entry in buffer])
+        self._decided.append((buffer, answers, self.model_version))
 
     def _collect(self, now: float) -> list[DecisionResponse]:
-        if not self._inflight:
+        """Answer every decided batch, oldest first."""
+        if not self._decided:
             return []
+        decided = self._decided
+        self._decided = []
         responses: list[DecisionResponse] = []
-        for shard in self.shards:
-            for tickets, answers in shard.collect():
-                responses.extend(self._absorb(tickets, answers, now))
+        for entries, answers, version in decided:
+            responses.extend(self._absorb(entries, answers, version, now))
         return responses
 
     def _absorb(
         self,
-        tickets: list[int],
+        entries: list[_Buffered],
         answers: list[tuple[float, DecisionTrace]],
+        version: int,
         now: float,
     ) -> list[DecisionResponse]:
-        """Answer a shard's decided batch and update sessions."""
+        """Answer one decided batch and update sessions."""
         responses: list[DecisionResponse] = []
         shadow_requests: list[DecisionRequest] = []
         shadow_fopts: list[float] = []
-        for ticket, (fopt_hz, trace) in zip(tickets, answers):
-            request, version, enqueued_s = self._inflight.pop(ticket)
+        for entry, (fopt_hz, trace) in zip(entries, answers):
+            request = entry.request
             response = DecisionResponse(
-                request_id=ticket,
+                request_id=entry.ticket,
                 device_id=request.device_id,
                 fopt_hz=fopt_hz,
                 accepted=True,
-                queue_delay_s=max(0.0, now - enqueued_s),
+                queue_delay_s=max(0.0, now - entry.enqueued_s),
                 trace=trace,
             )
             # A decision dispatched under an older model version must
@@ -526,17 +461,18 @@ class FleetDecisionService:
         Args:
             store: A :class:`repro.learn.telemetry.TelemetryStore` (or
                 anything with a ``writer(shard)`` factory returning
-                append handles).  One writer per shard partition, so
-                the store's single-writer-per-file contract holds.
+                append handles).  The router is the one writer, on
+                partition 0, so the store's single-writer-per-file
+                contract holds.
         """
         self.detach_telemetry()
         self._telemetry_store = store
 
     def detach_telemetry(self) -> None:
-        """Stop streaming and flush/close the open writers."""
-        for writer in self._telemetry_writers.values():
-            writer.close()
-        self._telemetry_writers = {}
+        """Stop streaming and flush/close the open writer."""
+        if self._telemetry_writer is not None:
+            self._telemetry_writer.close()
+        self._telemetry_writer = None
         self._telemetry_store = None
 
     def _record_telemetry(
@@ -550,12 +486,9 @@ class FleetDecisionService:
             return
         from repro.learn.telemetry import decision_record
 
-        shard_index = shard_for(request.device_id, self._shard_count)
-        writer = self._telemetry_writers.get(shard_index)
-        if writer is None:
-            writer = self._telemetry_store.writer(shard_index)
-            self._telemetry_writers[shard_index] = writer
-        writer.append(
+        if self._telemetry_writer is None:
+            self._telemetry_writer = self._telemetry_store.writer(0)
+        self._telemetry_writer.append(
             decision_record(
                 request,
                 response,
@@ -570,30 +503,24 @@ class FleetDecisionService:
     # Model hot-swap and shadow scoring
     # ------------------------------------------------------------------
     def swap_model(self, predictor) -> None:
-        """Replace the serving model without dropping in-flight tickets.
+        """Replace the serving model without dropping buffered tickets.
 
-        The swap is a batch boundary: router buffers are dispatched
-        first (those tickets are decided by the old model), then the
-        swap rides the same FIFO channel as the batches -- serial
-        shards swap immediately behind their synchronous dispatches,
-        process shards get a ``swap`` pipe verb behind every already
-        dispatched batch.  Nothing is drained and nothing stalls; the
-        next ``collect``/``flush`` keeps harvesting pre-swap answers.
+        The swap is a batch boundary: the buffer is dispatched first,
+        so those tickets are decided by the old model, and that batch
+        is answered by the next ``submit``/``poll``/``flush`` like any
+        other.  Nothing stalls.
 
         Session anchors are cleared (a cached old-model decision must
         not be replayed for new-model traffic) and the model version is
-        bumped, which also stops late-arriving pre-swap answers from
-        re-anchoring (see :meth:`_absorb`).
+        bumped, which also stops the pre-swap batch, answered after
+        the swap, from re-anchoring (see :meth:`_absorb`).
 
         Args:
             predictor: The replacement bundle.
         """
         if self._closed:
             raise RuntimeError("cannot swap on a closed fleet")
-        for shard_index in range(self._shard_count):
-            self._dispatch(shard_index)
-        for shard in self.shards:
-            shard.swap(predictor)
+        self._dispatch()
         self.decision = DecisionPass(predictor, self.config.service)
         self.registry.clear_anchors()
         self.model_version += 1
@@ -658,9 +585,8 @@ class FleetDecisionService:
 class DecisionService(FleetDecisionService):
     """The single-process decision service.
 
-    The router's one-shard, no-skip-cache configuration: every admitted
-    request is evaluated, in-process (one shard never gets a worker
-    process), so batch boundaries, queue delays and traces follow the
+    The router without the skip cache: every admitted request is
+    evaluated, so batch boundaries, queue delays and traces follow the
     micro-batching rules alone.
 
     Args:
@@ -679,8 +605,6 @@ class DecisionService(FleetDecisionService):
     ) -> None:
         super().__init__(
             predictor,
-            FleetConfig(
-                workers=1, service=config or ServiceConfig(), skip_cache=False
-            ),
+            FleetConfig(service=config or ServiceConfig(), skip_cache=False),
             clock=clock,
         )

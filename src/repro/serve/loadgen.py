@@ -25,8 +25,9 @@ turn them into ``(arrival_s, request)`` schedules:
 :func:`replay` is the one loop that drives a router through a
 schedule; every serving bench replays through it.
 :func:`run_fleet_bench` packages the whole thing: harvest, replay
-through the sharded router and through one plain single-process
-service, a scalar per-request baseline over the identical stream, and
+through the router with its skip cache and through one plain
+single-process service, a scalar per-request baseline over the
+identical stream, and
 a full fopt-equality cross-check between the three, with
 p50/p95/p99 latency, throughput and the speedups in its
 ``BENCH_fleet.json`` record.
@@ -397,10 +398,6 @@ class LoadgenReport:
         stats: The router's counters after the replay
             (:meth:`~repro.serve.fleet.FleetDecisionService.merged_stats`):
             model passes, batch sizes, rejections and skip-cache hits.
-        mode: Execution vehicle the router ran on (``process`` or
-            ``serial (<reason>)``).
-        worker_restarts: Shard-worker respawns during the replay
-            (should be zero in a bench).
     """
 
     config: LoadgenConfig
@@ -409,8 +406,6 @@ class LoadgenReport:
     wall_s: float
     throughput_rps: float
     stats: FleetStats
-    mode: str
-    worker_restarts: int
 
     def fopts_hz(self) -> list[float]:
         """Served fopt per request, in submission order."""
@@ -435,7 +430,7 @@ def replay(
 
     Args:
         service: A fresh router (its tickets number from 0 in
-            submission order): a :class:`DecisionService` or a sharded
+            submission order): a :class:`DecisionService` or a
             :class:`FleetDecisionService`.
         schedule: ``(arrival_s, request)`` pairs in non-decreasing
             arrival order (:func:`uniform_request_schedule`,
@@ -477,8 +472,6 @@ def replay(
         wall_s=wall_s,
         throughput_rps=len(responses) / wall_s if wall_s > 0 else float("inf"),
         stats=service.merged_stats(),
-        mode=service.mode,
-        worker_restarts=service.worker_restarts(),
     )
 
 
@@ -516,18 +509,18 @@ def scalar_decision_baseline(
 
 @dataclass(frozen=True)
 class FleetBenchResult:
-    """A sharded-fleet replay against its single-process and scalar twins.
+    """A fleet replay against its single-process and scalar twins.
 
     Attributes:
-        fleet_report: The sharded replay's measurements (including the
+        fleet_report: The fleet replay's measurements (including the
             skip count).
         single_report: The same stream through one plain
             :class:`DecisionService`.
-        workers: Shard count of the fleet replay.
         scalar_s: Wall time of the per-request scalar loop.
         scalar_rps: Scalar decisions per second.
         speedup_vs_single: Fleet throughput over single-process
-            batched throughput (the ISSUE's >= 3x bar at >= 4 workers).
+            batched throughput (``benchmarks/test_fleet_throughput.py``
+            holds it to >= 3x).
         speedup_vs_scalar: Fleet throughput over the scalar loop.
         fopt_mismatches_vs_single: Requests where fleet and
             single-process fopt disagree (must be zero).
@@ -539,7 +532,6 @@ class FleetBenchResult:
 
     fleet_report: LoadgenReport
     single_report: LoadgenReport
-    workers: int
     scalar_s: float
     scalar_rps: float
     speedup_vs_single: float
@@ -557,9 +549,6 @@ class FleetBenchResult:
         return {
             "envelope": bench_envelope("fleet-bench", repeats=repeats),
             "trace_source": self.trace_source,
-            "workers": self.workers,
-            "mode": fleet.mode,
-            "worker_restarts": fleet.worker_restarts,
             "devices": config.devices,
             "requests": config.requests,
             "target_qps": config.target_qps,
@@ -601,8 +590,8 @@ def _best_replay(
 ) -> LoadgenReport:
     """The highest-throughput of ``repeats`` replays, each on a fresh router.
 
-    A throwaway router first decides a short prefix, absorbing worker
-    spawn and first-pass costs (kernel construction, NumPy dispatch);
+    A throwaway router first decides a short prefix, absorbing
+    first-pass costs (kernel construction, NumPy dispatch);
     each timed replay then starts with clean counters and an empty
     skip cache.
     """
@@ -625,7 +614,6 @@ def run_fleet_bench(
     config: LoadgenConfig | None = None,
     harness_config: HarnessConfig | None = None,
     combos: Sequence[WorkloadCombo] | None = None,
-    workers: int = 4,
     skip_cache: bool = True,
     skip_tolerance: float = 0.0,
     repeats: int = 1,
@@ -635,11 +623,11 @@ def run_fleet_bench(
 
     The same harvested request stream (by default with a revisit
     pattern so the skip cache has real traffic to absorb) is replayed
-    through a sharded :class:`~repro.serve.fleet.FleetDecisionService`,
-    through one plain :class:`DecisionService`, and through the scalar
+    through a :class:`~repro.serve.fleet.FleetDecisionService`, through
+    one plain :class:`DecisionService`, and through the scalar
     per-request loop; fopt is cross-checked bit-for-bit between all
-    three and the throughput ratios recorded.  With ``workers=1`` and
-    ``skip_cache=False`` the fleet replay is the one-shard router the
+    three and the throughput ratios recorded.  With
+    ``skip_cache=False`` the fleet replay is the router the
     single-process replay also runs: the batched service against the
     scalar loop.
 
@@ -652,7 +640,6 @@ def run_fleet_bench(
             vector roughly that many times).
         harness_config: Simulator config for trace harvesting.
         combos: Workloads to harvest (default: first six suite combos).
-        workers: Fleet shard count.
         skip_cache: Enable the session-aware short circuit.
         skip_tolerance: Skip-cache drift tolerance.
         repeats: Timed repetitions of the fleet and single-process
@@ -686,7 +673,6 @@ def run_fleet_bench(
         lambda: DecisionService(predictor, service_config), schedule, config, repeats
     )
     fleet_config = FleetConfig(
-        workers=workers,
         service=service_config,
         skip_cache=skip_cache,
         skip_tolerance=skip_tolerance,
@@ -705,7 +691,6 @@ def run_fleet_bench(
     return FleetBenchResult(
         fleet_report=fleet_report,
         single_report=single_report,
-        workers=workers,
         scalar_s=scalar_s,
         scalar_rps=scalar_rps,
         speedup_vs_single=(

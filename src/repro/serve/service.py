@@ -8,8 +8,8 @@ plus one vectorized selection
 (:func:`repro.core.ppw.select_fopt_rows`), and the only code in the
 serving stack that turns requests into decisions.  Micro-batching lives
 in the fleet router (:class:`repro.serve.fleet.FleetDecisionService`);
-the single-process :class:`repro.serve.fleet.DecisionService` is its
-one-shard configuration.
+the single-process :class:`repro.serve.fleet.DecisionService` is that
+router without its skip cache.
 
 Equivalence contract
 --------------------
@@ -161,9 +161,9 @@ class DecisionPass:
     """DORA's Algorithm 1 over a batch: one model pass, one selection.
 
     The one place the serving stack turns requests into decisions: the
-    fleet router admits with it, every shard evaluates its dispatched
-    batches with it, and :class:`repro.learn.shadow.ShadowScorer`
-    re-decides batches with a candidate bundle through it.
+    fleet router admits with it and evaluates every dispatched batch
+    with it, and :class:`repro.learn.shadow.ShadowScorer` re-decides
+    batches with a candidate bundle through it.
 
     Args:
         predictor: Trained bundle

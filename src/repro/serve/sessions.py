@@ -174,9 +174,19 @@ class SessionRegistry:
         self._note_activity(session.device_id, now)
 
     def touch(self, device_id: str, now: float | None = None) -> DeviceSession:
-        """Fetch-or-create a session and refresh its ``last_seen_s``."""
+        """Fetch-or-create a session and refresh its ``last_seen_s``.
+
+        A session silent past the TTL is dead even before the sweeper
+        removes it: it is evicted here and a fresh one created, so
+        nothing it held -- the skip cache's anchor above all -- comes
+        back to life with the device.
+        """
         now = self.clock() if now is None else now
         session = self._sessions.get(device_id)
+        if session is not None and now - session.last_seen_s > self.ttl_s:
+            del self._sessions[device_id]
+            self.evicted_total += 1
+            session = None
         if session is None:
             session = DeviceSession(
                 device_id=device_id, created_s=now, last_seen_s=now

@@ -65,7 +65,7 @@ def test_lint_graph_dump(capsys):
     assert main(["lint", "--graph"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["functions"] > 400
-    assert "serve/shard.py" in record["modules"]
+    assert "serve/fleet.py" in record["modules"]
     assert any(
         edge["external"] == "numpy.random.SeedSequence"
         for edge in record["edges"]

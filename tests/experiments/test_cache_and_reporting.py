@@ -1,6 +1,7 @@
 """Artifact cache, text-reporting and bench-envelope tests."""
 
 import json
+import shutil
 import subprocess
 
 import pytest
@@ -146,6 +147,49 @@ class TestBenchEnvelope:
         assert envelope["git_dirty"] is dirty
         assert (envelope["git_sha"] == "unknown") is (head is None)
 
+    @pytest.mark.parametrize(
+        "changed, dirty",
+        [
+            ("BENCH_fleet.json", False),
+            ("src/repro/experiments/BENCH_fleet.json", True),
+            ("src/repro/cli.py", True),
+        ],
+    )
+    def test_git_dirty_ignores_the_root_bench_records(
+        self, monkeypatch, tmp_path, changed, dirty
+    ):
+        """A benchmark rewrites its tracked root-level record, so that
+        file alone must not stamp the next record dirty; the same name
+        anywhere else, or any other tracked file, still does."""
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        tracked = (
+            "BENCH_fleet.json",
+            "src/repro/experiments/BENCH_fleet.json",
+            "src/repro/cli.py",
+        )
+        for name in tracked:
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}\n")
+        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+        subprocess.run(["git", "add", "-A"], cwd=tmp_path, check=True)
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+             "commit", "-q", "-m", "records"],
+            cwd=tmp_path, check=True,
+        )
+        (tmp_path / changed).write_text('{"rewritten": true}\n')
+        run = subprocess.run
+
+        def in_the_scratch_repo(argv, **kwargs):
+            # Same depth below the top as this module's own checkout.
+            kwargs["cwd"] = tmp_path / "src" / "repro" / "experiments"
+            return run(argv, **kwargs)
+
+        monkeypatch.setattr(reporting.subprocess, "run", in_the_scratch_repo)
+        assert bench_envelope("fleet-bench")["git_dirty"] is dirty
+
     def test_calibration_drift_is_warned(self, git, monkeypatch, capsys):
         monkeypatch.setattr(
             fingerprint,
@@ -171,6 +215,24 @@ class TestBenchEnvelope:
         write_bench_record(path, record)
         assert json.loads(path.read_text()) == record
         assert path.read_text().endswith("}\n")
+
+    def test_write_bench_record_refuses_a_drifted_calibration(
+        self, git, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            fingerprint,
+            "calibration_identity",
+            lambda: {
+                "tag": "t",
+                "fingerprint": "live0123",
+                "pinned_fingerprint": "pin4567",
+            },
+        )
+        record = {"envelope": bench_envelope("sim-bench"), "speedup": 5.5}
+        path = tmp_path / "BENCH_engine.json"
+        with pytest.raises(ValueError, match="live0123.*pin4567"):
+            write_bench_record(path, record)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "record", [{"speedup": 5.5}, {"envelope": {"schema": "other/1"}}]

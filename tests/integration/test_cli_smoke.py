@@ -57,7 +57,7 @@ def test_fleet_bench_single_shard_smoke(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(repro.experiments.reporting, "bench_envelope", counted)
     code = main([
-        "fleet-bench", "--smoke", "--workers", "1", "--no-skip-cache",
+        "fleet-bench", "--smoke", "--no-skip-cache",
         "--devices", "4", "--requests", "64", "--revisit-period", "0",
         "--batch-size", "16", "--qps", "50000",
         "--output", str(output),

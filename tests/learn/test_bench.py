@@ -1,4 +1,4 @@
-"""The swap bench end to end on a tiny one-shard stream."""
+"""The swap bench end to end on a tiny stream."""
 
 import pytest
 
@@ -34,7 +34,6 @@ def test_tiny_one_shard_swap_bench(
         config,
         harness_config=fast_config,
         combos=all_combos()[:2],
-        workers=1,
         work_dir=tmp_path,
     )
     record = result.to_record()

@@ -53,9 +53,7 @@ class TestHotSwap:
         self, small_predictor, alt_predictor, disagreement
     ):
         requests, old, new = disagreement
-        config = FleetConfig(
-            workers=2, skip_cache=False, service=ServiceConfig()
-        )
+        config = FleetConfig(skip_cache=False, service=ServiceConfig())
         with FleetDecisionService(small_predictor, config) as fleet:
             responses = []
             # Buffered but not yet dispatched when the swap lands: these
@@ -67,6 +65,9 @@ class TestHotSwap:
             assert len(responses) == len(requests)
             responses.sort(key=lambda r: r.request_id)
             assert [r.fopt_hz for r in responses] == old
+            # The swap decides the batch; the next call answers it, at
+            # its own clock.
+            assert {r.queue_delay_s for r in responses} == {1.0}
             # Post-swap traffic is decided by the candidate.
             after = fleet.decide(requests, now=2.0)
             assert [r.fopt_hz for r in after] == new
@@ -80,7 +81,7 @@ class TestHotSwap:
             i for i, (a, b) in enumerate(zip(old, new)) if a != b
         )
         request = requests[changed]
-        config = FleetConfig(workers=1, service=ServiceConfig(max_batch_size=1))
+        config = FleetConfig(service=ServiceConfig(max_batch_size=1))
         with FleetDecisionService(small_predictor, config) as fleet:
             [first] = fleet.decide([request], now=0.0)
             [hit] = fleet.decide([request], now=0.5)
@@ -100,7 +101,7 @@ class TestHotSwap:
     def test_swap_on_closed_fleet_is_an_error(
         self, small_predictor, alt_predictor
     ):
-        fleet = FleetDecisionService(small_predictor, FleetConfig(workers=1))
+        fleet = FleetDecisionService(small_predictor, FleetConfig())
         fleet.close()
         with pytest.raises(RuntimeError, match="closed"):
             fleet.swap_model(alt_predictor)
@@ -109,7 +110,7 @@ class TestHotSwap:
 class TestShadowWindow:
     def test_self_shadow_scores_clean_and_promotes(self, small_predictor):
         requests = _varied_requests()
-        config = FleetConfig(workers=2, skip_cache=False)
+        config = FleetConfig(skip_cache=False)
         with FleetDecisionService(small_predictor, config) as fleet:
             fleet.start_shadow(small_predictor)
             fleet.decide(requests, now=0.0)
@@ -124,7 +125,7 @@ class TestShadowWindow:
         self, small_predictor, alt_predictor, disagreement
     ):
         requests, old, new = disagreement
-        config = FleetConfig(workers=1, skip_cache=False)
+        config = FleetConfig(skip_cache=False)
         with FleetDecisionService(small_predictor, config) as fleet:
             fleet.start_shadow(alt_predictor)
             fleet.decide(requests, now=0.0)
@@ -140,7 +141,7 @@ class TestShadowWindow:
 
     def test_promote_without_shadow_is_an_error(self, small_predictor):
         with FleetDecisionService(
-            small_predictor, FleetConfig(workers=1)
+            small_predictor, FleetConfig()
         ) as fleet:
             with pytest.raises(RuntimeError, match="no shadow"):
                 fleet.promote()
@@ -150,7 +151,7 @@ class TestShadowWindow:
 
     def test_skip_hits_are_not_shadow_scored(self, small_predictor):
         request = _request()
-        config = FleetConfig(workers=1, service=ServiceConfig(max_batch_size=1))
+        config = FleetConfig(service=ServiceConfig(max_batch_size=1))
         with FleetDecisionService(small_predictor, config) as fleet:
             fleet.start_shadow(small_predictor)
             fleet.decide([request], now=0.0)

@@ -58,41 +58,6 @@ def fail_with(message: str):
     raise ValueError(message)
 
 
-def echo_loop(conn):
-    """PersistentWorker message loop: echo until told to stop.
-
-    Understands three control messages -- ``"stop"`` exits cleanly,
-    ``"crash"`` kills the process hard (``os._exit`` skips all
-    cleanup, like a segfault), ``"pid"`` answers with the worker PID.
-    Everything else is echoed back.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message == "stop":
-            return
-        if message == "crash":
-            os._exit(23)
-        if message == "pid":
-            conn.send(os.getpid())
-        else:
-            conn.send(message)
-
-
-def scaling_loop(conn, factor):
-    """Message loop with a constructor argument (exercises ``args``)."""
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message == "stop":
-            return
-        conn.send(message * factor)
-
-
 def memoized_build(cache_dir: str, key: str, payload_size: int):
     """Hammer one memoized key (multi-process cache stress).
 

@@ -262,82 +262,3 @@ class TestCacheAwareScheduling:
             progress=lines.append,
         )
         assert any("1 cached" in line for line in lines)
-
-
-class TestPersistentWorker:
-    """Long-lived message-loop processes (the serving-shard substrate)."""
-
-    def _worker(self, target="echo_loop", args=()):
-        from tests.runtime import jobhelpers
-
-        return pool_module.PersistentWorker(
-            getattr(jobhelpers, target), args=args, name="unit"
-        )
-
-    def test_round_trips_messages(self):
-        worker = self._worker()
-        try:
-            worker.send({"n": 1})
-            assert worker.recv() == {"n": 1}
-            worker.send("again")
-            assert worker.recv() == "again"
-        finally:
-            worker.stop(message="stop")
-        assert not worker.alive
-
-    def test_runs_in_a_marked_worker_process(self):
-        worker = self._worker()
-        try:
-            worker.send("pid")
-            assert worker.recv() != os.getpid()
-        finally:
-            worker.stop(message="stop")
-
-    def test_constructor_args_reach_the_loop(self):
-        worker = self._worker(target="scaling_loop", args=(3,))
-        try:
-            worker.send(7)
-            assert worker.recv() == 21
-        finally:
-            worker.stop(message="stop")
-
-    def test_restart_respawns_after_a_crash(self):
-        worker = self._worker()
-        try:
-            worker.send("pid")
-            first_pid = worker.recv()
-            worker.send("crash")
-            with pytest.raises((EOFError, OSError)):
-                worker.recv()
-            # The pipe EOFs at _exit; give the OS a moment to reap.
-            worker._process.join(5.0)
-            assert not worker.alive
-            worker.restart()
-            assert worker.alive
-            assert worker.spawns == 2
-            worker.send("pid")
-            assert worker.recv() not in (first_pid, os.getpid())
-        finally:
-            worker.stop(message="stop")
-
-    def test_send_to_dead_worker_raises_broken_pipe(self):
-        worker = self._worker()
-        worker.stop(message="stop")
-        with pytest.raises(BrokenPipeError):
-            worker.send("hello")
-
-    def test_stop_is_idempotent(self):
-        worker = self._worker()
-        worker.stop(message="stop")
-        worker.stop(message="stop")
-        assert not worker.alive
-
-    def test_poll_times_out_on_silence(self):
-        worker = self._worker()
-        try:
-            assert not worker.poll(0.01)
-            worker.send("ping")
-            assert worker.poll(2.0)
-            assert worker.recv() == "ping"
-        finally:
-            worker.stop(message="stop")

@@ -1,15 +1,14 @@
-"""Fleet router: sharded equivalence, skip cache, telemetry, recovery."""
+"""Fleet router: single-service equivalence, skip cache, lifecycle."""
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.runtime.pool as pool_module
 from repro.browser.pages import page_by_name
 from repro.core.ppw import select_fopt
-from repro.runtime.pool import FORCE_POOL_ENV
 from repro.serve.fleet import (
     DecisionService,
     FleetConfig,
@@ -49,8 +48,7 @@ def _request(
 
 
 def _small_fleet(predictor, clock=None, **overrides):
-    """A one-worker fleet with immediate (batch-of-one) evaluation."""
-    overrides.setdefault("workers", 1)
+    """A fleet with immediate (batch-of-one) evaluation."""
     overrides.setdefault("service", ServiceConfig(max_batch_size=1))
     config = FleetConfig(**overrides)
     if clock is None:
@@ -60,16 +58,14 @@ def _small_fleet(predictor, clock=None, **overrides):
 
 class TestConfigValidation:
     def test_worker_floor(self):
-        with pytest.raises(ValueError, match="at least one worker"):
-            FleetConfig(workers=0)
+        # The router runs in-process: one is the only worker count.
+        for workers in (0, 2, 4):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                FleetConfig(workers=workers)
 
     def test_tolerance_sign(self):
         with pytest.raises(ValueError, match="non-negative"):
             FleetConfig(skip_tolerance=-0.1)
-
-    def test_attempt_floor(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            FleetConfig(max_attempts=0)
 
 
 class TestEquivalence:
@@ -98,39 +94,17 @@ class TestEquivalence:
             responses.extend(single.decide(batch, now=float(step)))
         return responses
 
-    def test_fopt_matches_across_worker_counts(self, small_predictor):
+    def test_fopt_matches_the_single_service(self, small_predictor):
         rounds = self._rounds()
         expected = self._reference(small_predictor, rounds)
-        for workers in (1, 2, 4):
-            with FleetDecisionService(
-                small_predictor, FleetConfig(workers=workers)
-            ) as fleet:
-                got = []
-                for step, batch in enumerate(rounds):
-                    got.extend(fleet.decide(batch, now=float(step)))
-                assert fleet.stats.skips_total >= len(rounds[-1])
-            assert [r.fopt_hz for r in got] == [r.fopt_hz for r in expected]
-            assert [r.accepted for r in got] == [
-                r.accepted for r in expected
-            ]
-
-    def test_process_shards_match_the_single_service(
-        self, small_predictor, monkeypatch
-    ):
-        monkeypatch.setenv(FORCE_POOL_ENV, "1")
-        rounds = self._rounds()
-        expected = self._reference(small_predictor, rounds)
-        with FleetDecisionService(
-            small_predictor, FleetConfig(workers=3)
-        ) as fleet:
-            assert fleet.mode == "process"
-            assert len(fleet.shards) == 3
+        with FleetDecisionService(small_predictor, FleetConfig()) as fleet:
             got = []
             for step, batch in enumerate(rounds):
                 got.extend(fleet.decide(batch, now=float(step)))
             # The replayed round is answered entirely by the cache.
             assert fleet.stats.skips_total >= len(rounds[-1])
         assert [r.fopt_hz for r in got] == [r.fopt_hz for r in expected]
+        assert [r.accepted for r in got] == [r.accepted for r in expected]
 
 
 class TestSkipCache:
@@ -187,8 +161,9 @@ class TestSkipCache:
             assert not miss.trace.skipped
 
     def test_an_older_response_never_replaces_a_newer_anchor(self):
-        # Shards can answer out of ticket order; the anchor's ticket is
-        # what tells a late, older response from the newest one.
+        # The cache does not trust its caller to store in ticket order;
+        # the anchor's ticket is what tells a late, older response from
+        # the newest one.
         cache = SkipCache(SessionRegistry(clock=lambda: 0.0), tolerance=0.0)
         trace = DecisionTrace(
             candidate_index=0, load_time_s=1.0, power_w=2.0, ppw=0.5,
@@ -260,6 +235,26 @@ class TestSkipCache:
             [again] = fleet.decide([request])
             assert again.trace.skipped
 
+    def test_a_rejection_after_the_ttl_does_not_revive_the_anchor(
+        self, small_predictor
+    ):
+        """Regression: a rejected request arriving after more than a TTL
+        of silence starts a fresh session instead of refreshing the
+        expired one, whose anchor would otherwise replay again."""
+        fleet = _small_fleet(
+            small_predictor,
+            service=ServiceConfig(max_batch_size=1, session_ttl_s=5.0),
+        )
+        with fleet:
+            [first] = fleet.submit(_request(), now=0.0)
+            assert not first.trace.skipped
+            [rejected] = fleet.submit(_request(deadline=0.02), now=20.0)
+            assert not rejected.accepted
+            [again] = fleet.submit(_request(), now=20.0)
+            assert not again.trace.skipped  # re-evaluated, not replayed
+            assert again.fopt_hz == first.fopt_hz
+            assert fleet.stats.skips_total == 0
+
     @given(
         mpki=st.floats(0.0, 20.0),
         util=st.floats(0.0, 1.0),
@@ -324,7 +319,6 @@ class TestServingSurface:
         with FleetDecisionService(
             small_predictor,
             FleetConfig(
-                workers=1,
                 service=ServiceConfig(max_batch_size=4, max_wait_s=0.01),
             ),
             clock=clock,
@@ -411,14 +405,14 @@ class TestInterleavings:
         """Property: any interleaving of submit, poll (the injected
         clock advancing) and flush answers every ticket exactly once,
         with the scalar oracle's fopt, and the router's counters add
-        up -- through DecisionService and through a one-worker fleet
-        with the skip cache on."""
+        up -- through DecisionService and through the router with the
+        skip cache on."""
         clock = _Clock()
         config = ServiceConfig(max_batch_size=max_batch_size, max_wait_s=0.005)
         if skip_cache:
             service = FleetDecisionService(
                 small_predictor,
-                FleetConfig(workers=1, service=config),
+                FleetConfig(service=config),
                 clock=clock,
             )
         else:
@@ -465,10 +459,8 @@ class TestInterleavings:
 
 
 class TestTelemetryAndLifecycle:
-    def test_merged_stats_fold_in_the_shard_counters(self, small_predictor):
-        with FleetDecisionService(
-            small_predictor, FleetConfig(workers=2)
-        ) as fleet:
+    def test_merged_stats_snapshot_the_router_counters(self, small_predictor):
+        with FleetDecisionService(small_predictor, FleetConfig()) as fleet:
             batch = [_request(f"d{i}", mpki=float(i)) for i in range(6)]
             fleet.decide(batch, now=0.0)
             fleet.decide(batch, now=1.0)  # all six replay from the cache
@@ -477,53 +469,25 @@ class TestTelemetryAndLifecycle:
         assert merged.requests_total == 12
         assert merged.skips_total == 6
         assert merged.skip_rate() == pytest.approx(0.5)
-        assert merged.accepted_total == 6  # shards only saw the misses
+        assert merged.accepted_total == 6  # only the misses were evaluated
         assert merged.batches_total >= 1
         assert merged.mean_batch_size() > 0
         assert merged.largest_batch <= 6
 
-    def test_serial_collapse_on_a_single_cpu_host(
-        self, small_predictor, monkeypatch
-    ):
-        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
-        with FleetDecisionService(
-            small_predictor, FleetConfig(workers=4)
-        ) as fleet:
-            assert fleet.mode == "serial (single-CPU host)"
-            # Partitioning pays only with real processes: serial mode
-            # routes everything through one backing shard so misses
-            # batch together.
-            assert len(fleet.shards) == 1
-
     def test_one_worker_stays_serial(self, small_predictor):
+        """The router decides in the calling process: serving starts no
+        worker process."""
+        before = set(multiprocessing.active_children())
         with FleetDecisionService(
             small_predictor, FleetConfig(workers=1)
         ) as fleet:
-            assert fleet.mode.startswith("serial (")
+            fleet.decide(
+                [_request(f"d{i}", mpki=float(i)) for i in range(4)], now=0.0
+            )
+            assert set(multiprocessing.active_children()) <= before
 
     def test_close_is_idempotent(self, small_predictor):
         fleet = _small_fleet(small_predictor)
         fleet.decide([_request()], now=0.0)
         fleet.close()
         fleet.close()
-
-    def test_crashed_workers_recover_with_identical_bits(
-        self, small_predictor, monkeypatch
-    ):
-        monkeypatch.setenv(FORCE_POOL_ENV, "1")
-        requests = [_request(f"d{i}", mpki=float(i)) for i in range(8)]
-        expected = DecisionService(small_predictor).decide(
-            list(requests), now=0.0
-        )
-        with FleetDecisionService(
-            small_predictor, FleetConfig(workers=2, backoff_s=0.0)
-        ) as fleet:
-            assert fleet.mode == "process"
-            for shard in fleet.shards:
-                shard.worker._process.kill()
-                shard.worker._process.join(5.0)
-            responses = fleet.decide(list(requests), now=0.0)
-            assert fleet.worker_restarts() >= 1
-        assert [r.fopt_hz for r in responses] == [
-            r.fopt_hz for r in expected
-        ]

@@ -140,13 +140,10 @@ class TestReplay:
             revisit_period=4, tight_deadline_every=5,
         )
         schedule = uniform_request_schedule(traces, config)
-        fleet_config = FleetConfig(workers=1, service=config.service_config())
+        fleet_config = FleetConfig(service=config.service_config())
         with FleetDecisionService(small_predictor, fleet_config) as fleet:
             report = replay(fleet, schedule, config)
             assert report.stats == fleet.merged_stats()
-            assert (report.mode, report.worker_restarts) == (
-                fleet.mode, fleet.worker_restarts()
-            )
         stats = report.stats
         assert stats.requests_total == len(report.responses) == len(schedule)
         assert stats.requests_total == (
@@ -197,7 +194,7 @@ class TestReplay:
         )
         fleet = FleetDecisionService(
             small_predictor,
-            FleetConfig(workers=1, service=config.service_config()),
+            FleetConfig(service=config.service_config()),
         )
         with fleet:
             report = replay(fleet, uniform_request_schedule(traces, config), config)
@@ -227,8 +224,8 @@ class TestBench:
     def test_single_shard_fleet_bench_writes_the_record(
         self, small_predictor, fast_config, tmp_path
     ):
-        # One shard without the skip cache: the batched service against
-        # the scalar loop.
+        # The router without the skip cache: the batched service
+        # against the scalar loop.
         output = tmp_path / "BENCH_serve.json"
         result = run_fleet_bench(
             small_predictor,
@@ -237,7 +234,6 @@ class TestBench:
             ),
             harness_config=fast_config,
             combos=all_combos()[:2],
-            workers=1,
             skip_cache=False,
         )
         assert result.fopt_mismatches_vs_scalar == 0
@@ -255,5 +251,5 @@ class TestBench:
         for percentile in ("p50_ms", "p95_ms", "p99_ms"):
             assert record["latency"][percentile] >= 0.0
         assert record["requests"] == 48
-        assert (record["workers"], record["skips"]) == (1, 0)
+        assert record["skips"] == 0
         assert record["fopt_mismatches_vs_scalar"] == 0

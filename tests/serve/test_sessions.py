@@ -88,6 +88,22 @@ class TestTtlEviction:
         clock.now = 10.0001
         assert registry.evict_expired() == ("edge",)
 
+    def test_touch_after_the_ttl_starts_a_fresh_session(
+        self, registry, clock
+    ):
+        registry.record_rejection("gone")
+        registry.touch("other")
+        registry.get("gone").last_response = "anchor"
+        clock.now = 10.0001  # silent past the TTL, not yet swept
+        session = registry.record_rejection("gone")
+        assert session.created_s == 10.0001
+        assert (session.rejections, session.last_response) == (1, None)
+        assert registry.evicted_total == 1
+        # The replacement is the youngest session, and the sweeper
+        # leaves it alone.
+        assert registry.active_ids() == ("other", "gone")
+        assert registry.evict_expired() == ("other",)
+
     def test_ttl_must_be_positive(self):
         with pytest.raises(ValueError, match="TTL"):
             SessionRegistry(ttl_s=0.0)

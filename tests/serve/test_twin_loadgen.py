@@ -171,7 +171,6 @@ class TestTwinFleetBench:
             config,
             harness_config=fast_config,
             combos=_COMBOS,
-            workers=2,
             trace_source="twin",
         )
         assert twin_result.trace_source == "twin"
@@ -189,7 +188,6 @@ class TestTwinFleetBench:
             config,
             harness_config=fast_config,
             combos=_COMBOS,
-            workers=2,
         )
         assert harvest_result.trace_source == "harvest"
         assert sorted(twin_result.fleet_report.fopts_hz()) == sorted(
