@@ -57,9 +57,8 @@ from repro.sim.governor import Governor, GovernorDecisionLog, RunContext
 from repro.sim.scheduler import CorePlan, plan
 from repro.sim.task import Task
 from repro.sim.trace import Trace
-from repro.soc.cache import CacheDemand
 from repro.soc.counters import CoreCounters
-from repro.soc.cpu import CpiInputs, effective_cpi
+from repro.soc.cpu import cpi_equation
 from repro.soc.device import Device
 from repro.soc.power import CoreActivity
 
@@ -77,8 +76,8 @@ _IDLE_ACTIVITY = CoreActivity(utilization=0.0, effective_capacitance_f=0.0)
 #: The equilibrium is a pure function of the (frozen) cache and memory
 #: models, the operating point, and the running phases, so solutions
 #: transfer between runs -- campaigns re-simulate the same combos over
-#: and over.  Values are stored positionally (task ids stripped) and
-#: are exactly what :func:`_solve_equilibrium` returns.
+#: and over.  Values are exactly what :func:`_solve_equilibrium`
+#: returns, which is positional and so free of task ids.
 _EQUILIBRIUM_CACHE: dict = {}
 _EQUILIBRIUM_CACHE_CAP = 4096
 
@@ -271,61 +270,44 @@ class RunResult:
 
 def _solve_equilibrium(
     device: Device, state, running: list[Task]
-) -> tuple[dict[str, tuple[float, float]], float, float]:
+) -> tuple[tuple[tuple[float, float], ...], float, float]:
     """Solve the coupled cache/bus/CPI fixed point for one step regime.
 
     Access rates depend on CPI, CPI depends on the miss penalty, the
     miss penalty depends on the aggregate miss rate, and miss ratios
     depend on every sharer's access rate.  A handful of fixed-point
     iterations converges; the result is reused for every step sharing
-    the same (frequency, active phases) combination.
+    the same (frequency, active phases) combination.  Each phase's
+    fields are read once, and every round runs on lists indexed by
+    position in ``running`` (``WorkPhase`` has validated them).
 
     Returns:
         ``(per_task, total_misses_per_s, penalty_cycles)`` where
-        ``per_task`` maps task id to its (effective CPI, miss ratio).
+        ``per_task`` holds each running task's (effective CPI, miss
+        ratio), in the order of ``running``.
     """
-    cpi = {task.task_id: task.current_phase.cpi_base for task in running}
-    ratios: dict[str, float] = {
-        task.task_id: task.current_phase.solo_miss_ratio for task in running
-    }
-    total_misses_per_s = 0.0
-    penalty_cycles = 0.0
+    phases = [task.current_phase for task in running]
+    bases = [phase.cpi_base for phase in phases]
+    apkis = [phase.l2_apki for phase in phases]
+    working_sets = [phase.working_set_bytes for phase in phases]
+    solos = [phase.solo_miss_ratio for phase in phases]
+    mlps = [phase.mlp for phase in phases]
+    freq_hz = state.freq_hz
+    miss_ratios = device.cache.positional_miss_ratios
+    miss_penalty_cycles = device.memory.miss_penalty_cycles
+    cpi = bases
     for _ in range(6):
-        demands = []
-        for task in running:
-            phase = task.current_phase
-            instr_rate = state.freq_hz / cpi[task.task_id]
-            demands.append(
-                CacheDemand(
-                    task_id=task.task_id,
-                    accesses_per_s=instr_rate * phase.l2_apki / 1000.0,
-                    working_set_bytes=phase.working_set_bytes,
-                    solo_miss_ratio=phase.solo_miss_ratio,
-                )
-            )
-        ratios = device.cache.miss_ratios(demands)
-        total_misses_per_s = sum(
-            demand.accesses_per_s * ratios[demand.task_id] for demand in demands
+        rates = [freq_hz / c * apki / 1000.0 for c, apki in zip(cpi, apkis)]
+        ratios = miss_ratios(rates, working_sets, solos)
+        total_misses_per_s = sum([rate * ratio for rate, ratio in zip(rates, ratios)])
+        penalty_cycles = miss_penalty_cycles(
+            total_misses_per_s, state.bus_freq_hz, freq_hz
         )
-        penalty_cycles = device.memory.miss_penalty_cycles(
-            total_misses_per_s, state.bus_freq_hz, state.freq_hz
-        )
-        for task in running:
-            phase = task.current_phase
-            cpi[task.task_id] = effective_cpi(
-                CpiInputs(
-                    cpi_base=phase.cpi_base,
-                    l2_apki=phase.l2_apki,
-                    miss_ratio=ratios[task.task_id],
-                    miss_penalty_cycles=penalty_cycles,
-                    mlp=phase.mlp,
-                )
-            )
-    per_task = {
-        task.task_id: (cpi[task.task_id], ratios[task.task_id])
-        for task in running
-    }
-    return per_task, total_misses_per_s, penalty_cycles
+        cpi = [
+            cpi_equation(base, apki, ratio, penalty_cycles, mlp)
+            for base, apki, ratio, mlp in zip(bases, apkis, ratios, mlps)
+        ]
+    return tuple(zip(cpi, ratios)), total_misses_per_s, penalty_cycles
 
 
 @dataclass
@@ -481,22 +463,13 @@ class Engine:
             state.bus_freq_hz,
             tuple(task.current_phase for task in running),
         )
-        cached = _EQUILIBRIUM_CACHE.get(shared_key)
-        if cached is None:
+        solved = _EQUILIBRIUM_CACHE.get(shared_key)
+        if solved is None:
             solved = _solve_equilibrium(self.device, state, running)
-            cached = (
-                tuple(solved[0][task.task_id] for task in running),
-                solved[1],
-                solved[2],
-            )
             if len(_EQUILIBRIUM_CACHE) >= _EQUILIBRIUM_CACHE_CAP:
                 _EQUILIBRIUM_CACHE.clear()
-            _EQUILIBRIUM_CACHE[shared_key] = cached
-        per_task = {
-            task.task_id: cached[0][position]
-            for position, task in enumerate(running)
-        }
-        return per_task, cached[1], cached[2]
+            _EQUILIBRIUM_CACHE[shared_key] = solved
+        return solved
 
     def _decide(self, loop: _LoopState, state) -> None:
         """One governor decision point (shared by both paths)."""
@@ -544,7 +517,7 @@ class Engine:
         counters = device.counters
         activities: dict[int, CoreActivity] = {}
         per_core_power: dict[int, float] = {}
-        for task in running:
+        for task, (cpi, ratio) in zip(running, per_task):
             phase = task.current_phase
             if loop.last_phase[task.task_id] != task.phase_index:
                 loop.last_phase[task.task_id] = task.phase_index
@@ -552,7 +525,6 @@ class Engine:
                     loop.trace.phase_starts.append(
                         (loop.time_s, task.task_id, phase.name)
                     )
-            cpi, ratio = per_task[task.task_id]
             budget = useful_dt * state.freq_hz / cpi
             retired = task.advance(budget, loop.time_s + dt) if budget > 0 else 0.0
             busy_fraction = retired / budget if budget > 0 else 0.0
@@ -653,9 +625,8 @@ class Engine:
         increments = [dt, dt, dt]
         activities: dict[int, CoreActivity] = {}
         per_core_power: dict[int, float] = {}
-        for task in running:
+        for task, (cpi, ratio) in zip(running, per_task):
             phase = task.current_phase
-            cpi, ratio = per_task[task.task_id]
             budget = dt * state.freq_hz / cpi
             accesses = budget * phase.l2_apki / 1000.0
             misses = accesses * ratio

@@ -15,16 +15,22 @@ Two models are provided:
   power-law miss-rate curve.  This is the standard analytic treatment
   of LRU sharing (in the spirit of cache utility curves) and gives the
   qualitative behaviour the paper measures: higher co-runner intensity
-  leads to higher browser MPKI.
+  leads to higher browser MPKI.  The engine's equilibrium solve calls
+  its positional kernel six times per new (frequency, phase set), so
+  the kernel builds no per-sharer objects; ``miss_ratios`` is the keyed,
+  validating form for other callers.
 * :class:`SetAssociativeCache` -- a true set-associative, write-back,
   LRU cache simulator.  The engine does not pay for per-access
   simulation; this model exists to *calibrate and validate* the
   analytic model (tests drive both with matched synthetic streams) and
   as a substrate component in its own right.
 """
+# repro: bit-exact -- the engine's equilibrium, and so every simulated
+# result, is computed here (R003 forbids BLAS/pairwise reductions).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.soc.specs import CacheGeometry
@@ -76,6 +82,10 @@ class AnalyticSharedCache:
        insertion rate (``accesses * miss_ratio``), the equilibrium of
        random-replacement/LRU sharing.
 
+    :meth:`positional_miss_ratios` runs both relations inline on lists
+    indexed by sharer; every total is a builtin ``sum`` in sharer order,
+    so each result is one fixed sequence of float operations.
+
     Attributes:
         geometry: Shared cache geometry.
         theta: Exponent of the power-law miss-rate curve.  Larger theta
@@ -90,103 +100,105 @@ class AnalyticSharedCache:
     def miss_ratios(self, demands: list[CacheDemand]) -> dict[str, float]:
         """Effective miss ratio of each sharer under contention.
 
+        The keyed, validating form of :meth:`positional_miss_ratios`,
+        for the tests and library callers; the engine calls the kernel.
+
         Args:
-            demands: Demands of all concurrently-running sharers.
+            demands: Demands of all concurrently-running sharers, one
+                per task id.
 
         Returns:
             Mapping from task id to effective L2 miss ratio.  A task
             running alone gets its solo miss ratio back (possibly
             raised if its working set exceeds the cache).
-        """
-        active = [d for d in demands if d.accesses_per_s > 0]
-        result = {d.task_id: d.solo_miss_ratio for d in demands}
-        if not active:
-            return result
 
+        Raises:
+            ValueError: if two demands share a task id.
+        """
+        ids = [demand.task_id for demand in demands]
+        if len(set(ids)) != len(ids):
+            raise ValueError("sharers must have distinct task ids")
+        ratios = self.positional_miss_ratios(
+            [demand.accesses_per_s for demand in demands],
+            [demand.working_set_bytes for demand in demands],
+            [demand.solo_miss_ratio for demand in demands],
+        )
+        return dict(zip(ids, ratios))
+
+    def positional_miss_ratios(
+        self,
+        rates: Sequence[float],
+        working_sets: Sequence[float],
+        solo_ratios: Sequence[float],
+    ) -> list[float]:
+        """:meth:`miss_ratios` on trusted inputs, sharer ``i`` at index
+        ``i`` of each list (``CacheDemand`` and ``WorkPhase`` validate)."""
+        ratios = list(solo_ratios)
+        active = [i for i, rate in enumerate(rates) if rate > 0]
+        if not active:
+            return ratios
         capacity = float(self.geometry.size_bytes)
+        line = float(self.geometry.line_bytes)
+        theta = self.theta
+        access = [rates[i] for i in active]
+        sets = [working_sets[i] for i in active]
+        solos = [solo_ratios[i] for i in active]
+        # The solo ratio is defined at full capacity, so a streaming
+        # sharer alone still misses at it; contention only inflates.
+        references = [min(size, capacity) for size in sets]
         # Initial occupancy guess: proportional to access rate, capped
         # by working set.
-        total_access = sum(d.accesses_per_s for d in active)
-        shares = {
-            d.task_id: min(
-                d.working_set_bytes, capacity * d.accesses_per_s / total_access
-            )
-            for d in active
-        }
-        ratios: dict[str, float] = {}
+        total_access = sum(access)
+        shares = [
+            min(size, capacity * rate / total_access)
+            for size, rate in zip(sets, access)
+        ]
+        own = solos
         for _ in range(self.iterations):
-            ratios = {
-                d.task_id: self._miss_ratio(d, shares[d.task_id]) for d in active
-            }
-            insertion = {
-                d.task_id: d.accesses_per_s * ratios[d.task_id] for d in active
-            }
-            # Summed in the ``active`` list's order (the same order the
-            # dict was built in), so the accumulation is canonical
-            # rather than tied to dict iteration.
-            total_insertion = sum(insertion[d.task_id] for d in active)
-            if total_insertion <= 0:
+            own = []
+            for solo, reference, share in zip(solos, references, shares):
+                if reference <= 0 or share >= reference:
+                    own.append(solo)
+                    continue
+                # The miss-rate curve, with the share at least one line.
+                if share < line:
+                    share = line
+                inflated = solo * (reference / share) ** theta
+                own.append(inflated if inflated < 1.0 else 1.0)
+            insertion = [rate * ratio for rate, ratio in zip(access, own)]
+            weight = sum(insertion)
+            if weight <= 0:
                 break
             # Capacity splits by insertion rate, but no sharer occupies
-            # more than its working set; leftover capacity is
-            # redistributed to the constrained sharers.
-            shares = self._allocate(active, insertion, total_insertion, capacity)
-        result.update(ratios)
-        return result
-
-    def _miss_ratio(self, demand: CacheDemand, share_bytes: float) -> float:
-        """Miss ratio of a sharer holding ``share_bytes`` of capacity.
-
-        The solo miss ratio is defined *at full cache capacity*, so the
-        reference point is ``min(working_set, capacity)``: a streaming
-        task (working set beyond the cache) running alone still misses
-        at its solo ratio, and contention only ever inflates from
-        there.
-        """
-        reference = min(demand.working_set_bytes, float(self.geometry.size_bytes))
-        if reference <= 0 or share_bytes >= reference:
-            return demand.solo_miss_ratio
-        share_bytes = max(share_bytes, float(self.geometry.line_bytes))
-        inflated = demand.solo_miss_ratio * (reference / share_bytes) ** self.theta
-        return min(1.0, inflated)
-
-    @staticmethod
-    def _allocate(
-        active: list[CacheDemand],
-        insertion: dict[str, float],
-        total_insertion: float,
-        capacity: float,
-    ) -> dict[str, float]:
-        """Split capacity by insertion rate, capped at working sets."""
-        shares: dict[str, float] = {}
-        remaining = capacity
-        unassigned = list(active)
-        weight = total_insertion
-        # Tasks whose proportional share exceeds their working set are
-        # capped first; their surplus flows to the rest.
-        changed = True
-        while changed and unassigned and weight > 0:
-            changed = False
-            for demand in list(unassigned):
-                if weight <= 0:
-                    # Float cancellation can zero the weight mid-pass
-                    # when one sharer's insertion rate dwarfs the rest.
-                    break
-                proportional = remaining * insertion[demand.task_id] / weight
-                if proportional >= demand.working_set_bytes:
-                    shares[demand.task_id] = demand.working_set_bytes
-                    remaining -= demand.working_set_bytes
-                    weight -= insertion[demand.task_id]
-                    unassigned.remove(demand)
-                    changed = True
-        for demand in unassigned:
-            if weight > 0:
-                shares[demand.task_id] = remaining * insertion[demand.task_id] / weight
-            else:
-                # All weight was consumed by capped sharers (or rounded
-                # away): split the leftover capacity evenly.
-                shares[demand.task_id] = remaining / len(unassigned)
-        return shares
+            # more than its working set: sharers are capped in order,
+            # and each cap's surplus flows to the rest.
+            remaining = capacity
+            unassigned = list(range(len(active)))
+            shares = list(sets)
+            changed = True
+            while changed and unassigned and weight > 0:
+                changed = False
+                for k in list(unassigned):
+                    if weight <= 0:
+                        # Float cancellation can zero the weight mid-pass
+                        # when one sharer's insertion rate dwarfs the rest.
+                        break
+                    if remaining * insertion[k] / weight >= sets[k]:
+                        remaining -= sets[k]
+                        weight -= insertion[k]
+                        unassigned.remove(k)
+                        changed = True
+            for k in unassigned:
+                # With all weight consumed by capped sharers (or rounded
+                # away), the leftover capacity splits evenly.
+                shares[k] = (
+                    remaining * insertion[k] / weight
+                    if weight > 0
+                    else remaining / len(unassigned)
+                )
+        for i, ratio in zip(active, own):
+            ratios[i] = ratio
+        return ratios
 
 
 # ----------------------------------------------------------------------

@@ -61,16 +61,26 @@ class CpiInputs:
 
 
 def effective_cpi(inputs: CpiInputs) -> float:
-    """Cycles per instruction under the given memory conditions."""
-    accesses_per_instr = inputs.l2_apki / 1000.0
-    hit_stalls = accesses_per_instr * (1.0 - inputs.miss_ratio) * L2_HIT_CYCLES
-    miss_stalls = (
-        accesses_per_instr
-        * inputs.miss_ratio
-        * inputs.miss_penalty_cycles
-        / inputs.mlp
+    """Cycles per instruction under the given memory conditions.
+
+    The validating form of :func:`cpi_equation`, kept for the tests and
+    library callers; the engine calls :func:`cpi_equation` directly.
+    """
+    return cpi_equation(
+        inputs.cpi_base, inputs.l2_apki, inputs.miss_ratio,
+        inputs.miss_penalty_cycles, inputs.mlp,
     )
-    return inputs.cpi_base + hit_stalls + miss_stalls
+
+
+def cpi_equation(
+    cpi_base: float, l2_apki: float, miss_ratio: float,
+    miss_penalty_cycles: float, mlp: float,
+) -> float:
+    """The CPI equation on trusted scalars (see :class:`CpiInputs`)."""
+    accesses_per_instr = l2_apki / 1000.0
+    hit_stalls = accesses_per_instr * (1.0 - miss_ratio) * L2_HIT_CYCLES
+    miss_stalls = accesses_per_instr * miss_ratio * miss_penalty_cycles / mlp
+    return cpi_base + hit_stalls + miss_stalls
 
 
 def instructions_retired(

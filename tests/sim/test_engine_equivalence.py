@@ -11,7 +11,9 @@ without a calibration-tag bump.
 Three layers of coverage:
 
 * Curated browser workloads across governors x combos x dt x tracing
-  (the shapes the experiment campaign actually runs).
+  (the shapes the experiment campaign actually runs); their reference
+  runs are also held to the golden table of ``test_engine_golden``,
+  which pins the physics both engines share.
 * Deterministic task sets for every exit of the phase-crossing step a
   regime takes (absorbed, inexact, finishing, two tasks at once, on
   the decision step, on the timeout step, after a clamped regime),
@@ -43,6 +45,7 @@ from repro.sim.task import Task, WorkPhase
 from repro.soc.device import Device, DeviceConfig
 from repro.soc.dvfs import SwitchCost
 from repro.workloads.kernels import kernel_by_name, kernel_task
+from tests.sim.test_engine_golden import GOLDEN, GOLDEN_APPLIES, golden_bits
 
 MIB = 1024 * 1024
 
@@ -175,10 +178,14 @@ BROWSER_CASES = [
     ("espn", "needleman-wunsch", "perf", 0.0017, False),
     ("espn", "needleman-wunsch", "mid", 0.002, True),
 ]
-BROWSER_IDS = [
-    f"{p}+{k or 'solo'}-{g}-dt{dt * 1e3:g}ms-{'tr' if t else 'notr'}"
-    for p, k, g, dt, t in BROWSER_CASES
-]
+
+
+def _browser_id(page, kernel, governor, dt, trace):
+    tracing = "tr" if trace else "notr"
+    return f"{page}+{kernel or 'solo'}-{governor}-dt{dt * 1e3:g}ms-{tracing}"
+
+
+BROWSER_IDS = [_browser_id(*case) for case in BROWSER_CASES]
 
 #: Planning horizons short enough that most regimes end at the
 #: ``_MAX_REGIME_STEPS`` clamp instead of at an event.
@@ -190,10 +197,14 @@ class TestBrowserWorkloadEquivalence:
         "page,kernel,governor,dt,trace", BROWSER_CASES, ids=BROWSER_IDS
     )
     def test_fast_matches_reference(self, page, kernel, governor, dt, trace):
+        """Equal bits, and the shared physics equals the golden table."""
         ref = _browser_run(ReferenceEngine, page, kernel, governor, dt, trace)
         fast = _browser_run(Engine, page, kernel, governor, dt, trace)
         assert ref.load_time_s is not None
         assert_bit_identical(ref, fast)
+        if GOLDEN_APPLIES:
+            case_id = _browser_id(page, kernel, governor, dt, trace)
+            assert golden_bits(ref) == GOLDEN[case_id]
 
     @pytest.mark.parametrize("max_steps", CLAMPED_HORIZONS)
     @pytest.mark.parametrize(

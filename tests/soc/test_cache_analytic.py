@@ -137,3 +137,14 @@ class TestValidation:
     def test_out_of_range_miss_ratio_rejected(self):
         with pytest.raises(ValueError):
             CacheDemand("a", 1.0, MIB, 1.5)
+
+    def test_duplicate_task_ids_rejected(self, cache):
+        """Two demands under one id would share one occupancy entry:
+        the pair below once came back as ``{"a": 0.3}``, the second
+        demand's solo ratio with no contention at all."""
+        first = _demand("a", accesses=4e7, working_set=3 * MIB, solo=0.10)
+        second = _demand("a", accesses=1e6, working_set=0.5 * MIB, solo=0.30)
+        with pytest.raises(ValueError, match="distinct task ids"):
+            cache.miss_ratios([first, second])
+        renamed = _demand("b", accesses=1e6, working_set=0.5 * MIB, solo=0.30)
+        assert cache.miss_ratios([first, renamed])["b"] > 0.5

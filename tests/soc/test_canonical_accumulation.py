@@ -4,10 +4,10 @@ Two accumulation sites used to iterate dict ``.values()`` and were
 grandfathered in the lint baseline; they now accumulate in canonical
 order.  These tests pin the rewrites:
 
-* ``AnalyticSharedCache.miss_ratios``: the insertion-rate total sums in
-  the ``active`` list's order -- exactly the order the dict was built
-  in, so the result is bit-identical by construction (asserted against
-  an inline old-spelling recomputation).
+* ``AnalyticSharedCache.miss_ratios``: the insertion-rate total sums
+  over the active sharers in their given order -- exactly the order the
+  old dict was built in, so the result is bit-identical by construction
+  (asserted against an inline old-spelling recomputation).
 * ``DevicePowerModel.breakdown``: the dynamic-power loop runs in sorted
   core-id order, so the same activity set yields bit-identical power
   regardless of the caller's dict insertion order.
