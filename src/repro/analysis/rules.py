@@ -355,7 +355,7 @@ class BlasReductionRule(Rule):
     ``# repro: bit-exact`` are exactly the ones whose outputs must
     reproduce a scalar reference bit for bit, so they must use
     ``np.cumsum`` / ``np.add.accumulate`` or the per-row pairwise
-    helpers (``RegressionModel.predict_rows``) instead.
+    helper (``StackedModels.predict_rows``) instead.
     """
 
     rule_id = "R003"
@@ -385,7 +385,7 @@ class BlasReductionRule(Rule):
 
     _hint = (
         "; use np.cumsum / np.add.accumulate (strict "
-        "left-to-right) or RegressionModel.predict_rows (fixed per-row "
+        "left-to-right) or StackedModels.predict_rows (fixed per-row "
         "pairwise order) to keep bit-identity with the scalar reference"
     )
 

@@ -24,6 +24,7 @@ can never silently diverge between training and inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class IndependentVariables:
             raise ValueError("core frequency must be positive")
         if self.bus_freq_mhz <= 0:
             raise ValueError("bus frequency must be positive")
-        if self.l2_mpki < 0:
-            raise ValueError("MPKI must be non-negative")
+        if not (math.isfinite(self.l2_mpki) and self.l2_mpki >= 0):
+            raise ValueError("MPKI must be non-negative and finite")
         if not 0.0 <= self.corunner_utilization <= 1.0:
             raise ValueError("co-runner utilization must lie in [0, 1]")
 

@@ -17,6 +17,7 @@ the true cost of hot, high-voltage operating points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,7 +123,14 @@ class DoraPredictor:
         online sweep (:meth:`prediction_table`) goes through the
         vectorized kernel instead; ``tests/serve`` cross-checks the two
         against each other.
+
+        Raises:
+            ValueError: On the inputs the kernel rejects: MPKI negative
+                or not finite, utilization outside ``[0, 1]`` (NaN
+                included), or a temperature that is not finite.
         """
+        if not math.isfinite(temperature_c):
+            raise ValueError("temperature must be finite")
         row = self.row_for(
             page_features, corunner_mpki, corunner_utilization, freq_hz
         )
@@ -149,6 +157,9 @@ class DoraPredictor:
         a scalar governor decision and a batched
         :mod:`repro.serve` decision over the same inputs see the same
         bits.
+
+        Raises:
+            ValueError: On the inputs :meth:`predict_at` rejects.
         """
         load, power = self._batch.predict(
             pages=np.array([page_features.as_tuple()], dtype=float),

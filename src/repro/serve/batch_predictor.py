@@ -3,11 +3,13 @@
 Algorithm 1 sweeps the candidate frequencies and, for each, builds a
 Table-I row and predicts load time and power.  Done one request at a
 time in Python that is a 14-iteration object-building loop; done here
-it is a single matrix pass: the feature matrix for *all candidate
-frequencies x all in-flight requests* is assembled at once, routed
-through the piecewise surfaces per memory-bus group, and the Equation-5
-leakage is evaluated for every (voltage, temperature) pair by
-broadcasting.
+it is one pass per surface family: the feature block for *all in-flight
+requests x all candidate frequencies* is assembled at once, each
+candidate's piecewise segment (its memory-bus group, or the nearest one)
+is gathered into stacked arrays at construction, load time and power
+are each predicted by one :class:`repro.models.regression.StackedModels`
+pass over the whole block, and the Equation-5 leakage is evaluated for
+every (voltage, temperature) pair by broadcasting.
 
 Bit-identity contract
 ---------------------
@@ -15,22 +17,23 @@ The scalar :class:`repro.models.predictor.DoraPredictor` evaluates its
 prediction table through this kernel with a batch of one, and the
 batched :class:`repro.serve.service.DecisionPass` with a batch of
 many.  Every operation below is element-wise or an independent per-row
-reduction (:meth:`repro.models.regression.RegressionModel.predict_rows`),
+reduction (:meth:`repro.models.regression.StackedModels.predict_rows`),
 so a request's predictions -- and therefore its fopt -- are the same
 bits either way.  The equivalence suite in ``tests/serve`` enforces
 this across the evaluation workloads, both leakage ablations and
-multiple QoS margins.
+multiple QoS margins, and ``tests/serve/test_kernel_oracle.py`` holds
+the stacked pass to the per-segment kernel it replaced.
 
-The kernel deliberately owns *no* coefficients and *no* selection
-rule: surfaces and leakage parameters are borrowed from the trained
-bundle, and selection stays in :func:`repro.core.ppw.select_fopt_rows`.
+The kernel deliberately owns *no* fitted values and *no* selection
+rule: segments and leakage parameters come from the trained bundle
+(the segments' arrays stacked, not refitted), and selection stays in
+:func:`repro.core.ppw.select_fopt_rows`.
 """
 # repro: bit-exact -- outputs must equal the scalar DoraPredictor bit
 # for bit (R003 forbids BLAS/pairwise reductions in this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +43,7 @@ from repro.models.features import NUM_FEATURES
 from repro.models.performance_model import MIN_PREDICTED_LOAD_TIME_S
 from repro.models.piecewise import PiecewiseSurface
 from repro.models.power_model import MIN_PREDICTED_POWER_W
-from repro.models.regression import RegressionModel
+from repro.models.regression import StackedModels
 from repro.soc.leakage import KELVIN_OFFSET, LeakageParameters
 from repro.soc.specs import PlatformSpec
 
@@ -60,20 +63,12 @@ def page_feature_matrix(
     return np.array([page.as_tuple() for page in pages], dtype=float)
 
 
-@dataclass(frozen=True)
-class _SegmentRoute:
-    """One piecewise segment and the candidate columns it serves."""
-
-    segment: RegressionModel
-    candidate_indices: np.ndarray  # indices into the candidate axis
-
-
 class BatchDoraPredictor:
     """Vectorized (requests x candidate frequencies) model evaluation.
 
-    Wraps a trained bundle's surfaces without copying coefficients.
     All per-candidate constants (frequency, voltage, bus frequency,
-    bus-group segment routing) are precomputed once at construction.
+    and the standardization and coefficients of the segment serving
+    each candidate) are gathered once at construction.
 
     Attributes:
         freqs_hz: Candidate frequencies in the bundle's candidate
@@ -107,8 +102,8 @@ class BatchDoraPredictor:
             [s.bus_freq_hz / 1e6 for s in states], dtype=float
         )
         self._leakage = leakage_parameters
-        self._load_routes = self._route(load_time_surfaces)
-        self._power_routes = self._route(power_surfaces)
+        self._load_models = self._gather(load_time_surfaces)
+        self._power_models = self._gather(power_surfaces)
         self.selection_order = np.argsort(self.freqs_hz, kind="stable")
 
     @classmethod
@@ -127,17 +122,11 @@ class BatchDoraPredictor:
         """Number of candidate frequencies (F)."""
         return int(self.freqs_hz.shape[0])
 
-    def _route(self, surfaces: PiecewiseSurface) -> list[_SegmentRoute]:
-        """Group candidate columns by the piecewise segment serving them."""
-        by_segment: dict[int, tuple[RegressionModel, list[int]]] = {}
-        for index, bus_mhz in enumerate(self._bus_mhz):
-            segment = surfaces.segment_for(bus_mhz * 1e6)
-            entry = by_segment.setdefault(id(segment), (segment, []))
-            entry[1].append(index)
-        return [
-            _SegmentRoute(segment, np.array(indices, dtype=np.intp))
-            for segment, indices in by_segment.values()
-        ]
+    def _gather(self, surfaces: PiecewiseSurface) -> StackedModels:
+        """Each candidate's piecewise segment, stacked in candidate order."""
+        return StackedModels.gather(
+            [surfaces.segment_for(bus_mhz * 1e6) for bus_mhz in self._bus_mhz]
+        )
 
     # ------------------------------------------------------------------
     # Feature assembly
@@ -156,13 +145,13 @@ class BatchDoraPredictor:
         """
         requests = pages.shape[0]
         count = self.num_candidates
-        matrix = np.empty((requests * count, NUM_FEATURES), dtype=float)
-        matrix[:, 0:5] = np.repeat(pages, count, axis=0)
-        matrix[:, 5] = np.repeat(corunner_mpki, count)
-        matrix[:, 6] = np.tile(self._freq_ghz, requests)
-        matrix[:, 7] = np.tile(self._bus_mhz, requests)
-        matrix[:, 8] = np.repeat(corunner_utilization, count)
-        return matrix
+        block = np.empty((requests, count, NUM_FEATURES), dtype=float)
+        block[:, :, 0:5] = pages[:, None, :]
+        block[:, :, 5] = corunner_mpki[:, None]
+        block[:, :, 6] = self._freq_ghz
+        block[:, :, 7] = self._bus_mhz
+        block[:, :, 8] = corunner_utilization[:, None]
+        return block.reshape(requests * count, NUM_FEATURES)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -203,37 +192,29 @@ class BatchDoraPredictor:
         ):
             if values.shape != (requests,):
                 raise ValueError(f"{name} must have shape ({requests},)")
-        # Mirror IndependentVariables' validation for the whole batch.
-        if np.any(mpki < 0):
-            raise ValueError("MPKI must be non-negative")
-        if np.any((utilization < 0.0) | (utilization > 1.0)):
+        # Mirror DecisionRequest's validation for the whole batch; every
+        # comparison with NaN is false, so each check asks for the
+        # valid range rather than testing for the invalid one.
+        if not (np.isfinite(mpki) & (mpki >= 0.0)).all():
+            raise ValueError("MPKI must be non-negative and finite")
+        if not ((utilization >= 0.0) & (utilization <= 1.0)).all():
             raise ValueError("co-runner utilization must lie in [0, 1]")
+        if not np.isfinite(temperatures).all():
+            raise ValueError("temperature must be finite")
 
-        matrix = self.feature_matrix(page_matrix, mpki, utilization)
         count = self.num_candidates
-        load = np.empty(requests * count, dtype=float)
-        power = np.empty(requests * count, dtype=float)
-        for route in self._load_routes:
-            rows = self._flat_rows(route.candidate_indices, requests, count)
-            load[rows] = route.segment.predict_rows(matrix[rows])
-        for route in self._power_routes:
-            rows = self._flat_rows(route.candidate_indices, requests, count)
-            power[rows] = route.segment.predict_rows(matrix[rows])
-        load = np.maximum(MIN_PREDICTED_LOAD_TIME_S, load)
-        power = np.maximum(MIN_PREDICTED_POWER_W, power)
-        load = load.reshape(requests, count)
-        power = power.reshape(requests, count)
+        block = self.feature_matrix(page_matrix, mpki, utilization).reshape(
+            requests, count, NUM_FEATURES
+        )
+        load = np.maximum(
+            MIN_PREDICTED_LOAD_TIME_S, self._load_models.predict_rows(block)
+        )
+        power = np.maximum(
+            MIN_PREDICTED_POWER_W, self._power_models.predict_rows(block)
+        )
         if include_leakage:
             power = power + self.leakage_matrix(temperatures)
         return load, power
-
-    @staticmethod
-    def _flat_rows(
-        candidate_indices: np.ndarray, requests: int, count: int
-    ) -> np.ndarray:
-        """Flat row indices of some candidate columns across all requests."""
-        offsets = np.arange(requests, dtype=np.intp) * count
-        return (offsets[:, None] + candidate_indices[None, :]).ravel()
 
     def leakage_matrix(self, temperatures_c: np.ndarray) -> np.ndarray:
         """Equation-5 leakage for every (request temperature, candidate).

@@ -20,63 +20,31 @@ co-runner -- hit a DRAM-latency wall and scale sub-linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Latency of an L2 hit, in core cycles (L1 miss, L2 hit).
 L2_HIT_CYCLES = 15.0
-
-
-@dataclass(frozen=True)
-class CpiInputs:
-    """Everything needed to evaluate the CPI equation for one task.
-
-    Attributes:
-        cpi_base: Core-private CPI of the instruction stream (no L2
-            traffic): branch behaviour, ILP, L1 behaviour.
-        l2_apki: L2 accesses per kilo-instruction (the L1 miss rate).
-        miss_ratio: Effective L2 miss ratio under current contention.
-        miss_penalty_cycles: Core cycles per L2 miss at the current
-            operating point and bus load.
-        mlp: Memory-level parallelism; the average number of overlapped
-            outstanding misses (>= 1).
-    """
-
-    cpi_base: float
-    l2_apki: float
-    miss_ratio: float
-    miss_penalty_cycles: float
-    mlp: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.cpi_base <= 0:
-            raise ValueError("base CPI must be positive")
-        if self.l2_apki < 0:
-            raise ValueError("APKI must be non-negative")
-        if not 0.0 <= self.miss_ratio <= 1.0:
-            raise ValueError("miss ratio must lie in [0, 1]")
-        if self.miss_penalty_cycles < 0:
-            raise ValueError("miss penalty must be non-negative")
-        if self.mlp < 1.0:
-            raise ValueError("MLP must be at least 1")
-
-
-def effective_cpi(inputs: CpiInputs) -> float:
-    """Cycles per instruction under the given memory conditions.
-
-    The validating form of :func:`cpi_equation`, kept for the tests and
-    library callers; the engine calls :func:`cpi_equation` directly.
-    """
-    return cpi_equation(
-        inputs.cpi_base, inputs.l2_apki, inputs.miss_ratio,
-        inputs.miss_penalty_cycles, inputs.mlp,
-    )
 
 
 def cpi_equation(
     cpi_base: float, l2_apki: float, miss_ratio: float,
     miss_penalty_cycles: float, mlp: float,
 ) -> float:
-    """The CPI equation on trusted scalars (see :class:`CpiInputs`)."""
+    """Cycles per instruction under the given memory conditions.
+
+    Nothing is validated here: the engine's equilibrium solve calls
+    it once per task and round, on fields ``WorkPhase`` validated at
+    construction and miss ratios the cache model keeps in ``[0, 1]``.
+
+    Args:
+        cpi_base: Core-private CPI of the instruction stream (no L2
+            traffic): branch behaviour, ILP, L1 behaviour.
+        l2_apki: L2 accesses per kilo-instruction (the L1 miss rate).
+        miss_ratio: Effective L2 miss ratio under current contention,
+            in ``[0, 1]``.
+        miss_penalty_cycles: Core cycles per L2 miss at the current
+            operating point and bus load.
+        mlp: Memory-level parallelism; the average number of overlapped
+            outstanding misses (>= 1).
+    """
     accesses_per_instr = l2_apki / 1000.0
     hit_stalls = accesses_per_instr * (1.0 - miss_ratio) * L2_HIT_CYCLES
     miss_stalls = accesses_per_instr * miss_ratio * miss_penalty_cycles / mlp

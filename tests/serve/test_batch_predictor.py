@@ -1,11 +1,28 @@
 """Vectorized kernel: batch invariance and agreement with the scalar path."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.browser.pages import page_by_name, page_names
 from repro.models.features import IndependentVariables
 from repro.serve.batch_predictor import BatchDoraPredictor, page_feature_matrix
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_IDS = ["nan", "+inf", "-inf"]
+#: The request conditions and a valid value of each.
+CONDITIONS = {
+    "corunner_mpki": 4.0,
+    "corunner_utilization": 0.5,
+    "temperature_c": 45.0,
+}
+CONDITION_ERRORS = {
+    "corunner_mpki": "MPKI",
+    "corunner_utilization": "utilization",
+    "temperature_c": "temperature",
+}
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +154,49 @@ class TestValidation:
         with pytest.raises(ValueError, match="utilization"):
             kernel.predict(
                 pages, np.zeros(1), np.array([1.2]), np.full(1, 45.0)
+            )
+
+    @pytest.mark.parametrize("include_leakage", [True, False])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("field", CONDITIONS)
+    def test_kernel_rejects_non_finite_conditions(
+        self, kernel, field, value, include_leakage
+    ):
+        """The kernel rejects what DecisionRequest rejects; one bad row
+        fails the whole batch."""
+        conditions = {
+            name: np.full(3, default) for name, default in CONDITIONS.items()
+        }
+        conditions[field][1] = value
+        with pytest.raises(ValueError, match=CONDITION_ERRORS[field]):
+            kernel.predict(
+                [page_by_name("amazon").features] * 3,
+                conditions["corunner_mpki"],
+                conditions["corunner_utilization"],
+                conditions["temperature_c"],
+                include_leakage=include_leakage,
+            )
+
+    @pytest.mark.parametrize("include_leakage", [True, False])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("field", CONDITIONS)
+    def test_scalar_paths_reject_non_finite_conditions(
+        self, small_predictor, field, value, include_leakage
+    ):
+        """``prediction_table`` (the kernel with a batch of one) and the
+        straight-line ``predict_at`` reject the same inputs."""
+        conditions = dict(CONDITIONS, **{field: value})
+        page = page_by_name("amazon").features
+        with pytest.raises(ValueError, match=CONDITION_ERRORS[field]):
+            small_predictor.prediction_table(
+                page, **conditions, include_leakage=include_leakage
+            )
+        with pytest.raises(ValueError, match=CONDITION_ERRORS[field]):
+            small_predictor.predict_at(
+                page,
+                **conditions,
+                freq_hz=small_predictor.candidates()[0],
+                include_leakage=include_leakage,
             )
 
     def test_rejects_sub_absolute_zero_temperature(self, kernel):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import _solve_equilibrium
 from repro.sim.task import Task, WorkPhase
 from repro.soc.cache import AnalyticSharedCache, CacheDemand
-from repro.soc.cpu import L2_HIT_CYCLES, CpiInputs
+from repro.soc.cpu import L2_HIT_CYCLES
 from repro.soc.device import Device
 from repro.soc.specs import CacheGeometry
 
@@ -108,6 +108,29 @@ class DictKeyedCache(AnalyticSharedCache):
             else:
                 shares[demand.task_id] = remaining / len(unassigned)
         return shares
+
+
+@dataclass(frozen=True)
+class CpiInputs:
+    """The validating CPI input record the solve built per task."""
+
+    cpi_base: float
+    l2_apki: float
+    miss_ratio: float
+    miss_penalty_cycles: float
+    mlp: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.cpi_base <= 0:
+            raise ValueError("base CPI must be positive")
+        if self.l2_apki < 0:
+            raise ValueError("APKI must be non-negative")
+        if not 0.0 <= self.miss_ratio <= 1.0:
+            raise ValueError("miss ratio must lie in [0, 1]")
+        if self.miss_penalty_cycles < 0:
+            raise ValueError("miss penalty must be non-negative")
+        if self.mlp < 1.0:
+            raise ValueError("MLP must be at least 1")
 
 
 def oracle_effective_cpi(inputs: CpiInputs) -> float:
