@@ -149,12 +149,9 @@ class ShadowScorer:
             return 0
         load, power, _deadlines, winners = self.decision.evaluate(requests)
         freqs_hz = self.decision.kernel.freqs_hz
-        rows = np.arange(len(requests))
-        candidate_fopt = freqs_hz[winners]
-        candidate_ppw = 1.0 / (load[rows, winners] * power[rows, winners])
-
         served = np.asarray(served_fopt_hz, dtype=float)
-        mismatched = candidate_fopt != served
+        mismatched = (freqs_hz[winners] != served).tolist()
+        winner_columns = winners.tolist()
         new_mismatches = 0
         for position, request in enumerate(requests):
             cls = self.report.by_class[page_class(request.page.dom_nodes)]
@@ -165,13 +162,15 @@ class ShadowScorer:
             new_mismatches += 1
             cls.mismatches += 1
             self.report.mismatches += 1
+            winner = winner_columns[position]
+            candidate_ppw = 1.0 / (load[position, winner] * power[position, winner])
             # Candidate-view regret of the served choice: re-read the
             # candidate's predictions at the served frequency.
             served_column = int(np.argmin(np.abs(freqs_hz - served[position])))
             served_ppw = 1.0 / (
                 load[position, served_column] * power[position, served_column]
             )
-            regret = max(0.0, 1.0 - served_ppw / candidate_ppw[position])
+            regret = max(0.0, 1.0 - served_ppw / candidate_ppw)
             cls.regret_sum += regret
             self.report.regret_sum += regret
         return new_mismatches

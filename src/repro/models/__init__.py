@@ -11,41 +11,15 @@ Mirrors Section III-A/B and IV-C of the paper:
   load-time model (one surface per memory-bus frequency group).
 * :mod:`repro.models.power_model` -- the dynamic-power surface.
 * :mod:`repro.models.leakage_fit` -- non-linear fit of the Equation-5
-  leakage form to calibration observations.
+  leakage form to calibration observations (SciPy).
 * :mod:`repro.models.predictor` -- :class:`DoraPredictor`, bundling
-  the above into the (load time, power) tables governors consume.
+  the above into the (load time, power) tables governors consume, and
+  the fitted leakage model's type.
 * :mod:`repro.models.training` -- the measurement campaign (>300
   observations across workload combinations and frequencies),
   train/test split, and the Fig. 5 error statistics.
+
+The package re-exports nothing: import from the submodules, so that
+loading and serving a bundle import neither SciPy nor the training
+campaign.
 """
-
-from repro.models.features import IndependentVariables, TABLE_I_NAMES
-from repro.models.regression import RegressionModel, ResponseSurface
-from repro.models.performance_model import PiecewiseLoadTimeModel
-from repro.models.power_model import DynamicPowerModel
-from repro.models.leakage_fit import FittedLeakageModel, fit_leakage
-from repro.models.predictor import DoraPredictor
-from repro.models.training import (
-    Observation,
-    TrainedModels,
-    TrainingConfig,
-    run_campaign,
-    train_models,
-)
-
-__all__ = [
-    "IndependentVariables",
-    "TABLE_I_NAMES",
-    "RegressionModel",
-    "ResponseSurface",
-    "PiecewiseLoadTimeModel",
-    "DynamicPowerModel",
-    "FittedLeakageModel",
-    "fit_leakage",
-    "DoraPredictor",
-    "Observation",
-    "TrainedModels",
-    "TrainingConfig",
-    "run_campaign",
-    "train_models",
-]

@@ -9,7 +9,10 @@ idle power across controlled temperature at fixed operating points --
 are fitted with :func:`scipy.optimize.least_squares`.
 
 The fitted model is DORA's copy of the physics: it never sees the
-device's true constants, only noisy observations.
+device's true constants, only noisy observations.  Its type,
+:class:`~repro.models.predictor.FittedLeakageModel`, lives with the
+predictor that consumes it, so loading and serving a bundle never
+import SciPy.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from repro.models.predictor import FittedLeakageModel
 from repro.soc.leakage import KELVIN_OFFSET, LeakageParameters
 
 
@@ -29,23 +33,6 @@ class LeakageSample:
     voltage_v: float
     temperature_c: float
     leakage_w: float
-
-
-@dataclass(frozen=True)
-class FittedLeakageModel:
-    """DORA's fitted leakage predictor.
-
-    Attributes:
-        parameters: Fitted Equation-5 constants.
-        rms_error_w: Root-mean-square residual on the calibration set.
-    """
-
-    parameters: LeakageParameters
-    rms_error_w: float
-
-    def predict(self, voltage_v: float, temperature_c: float) -> float:
-        """Predicted leakage power in watts."""
-        return self.parameters.power_w(voltage_v, temperature_c)
 
 
 def _eval_vectorized(

@@ -26,10 +26,31 @@ import numpy as np
 from repro.browser.dom import PageFeatures
 from repro.core.ppw import FrequencyPrediction
 from repro.models.features import IndependentVariables
-from repro.models.leakage_fit import FittedLeakageModel
 from repro.models.performance_model import PiecewiseLoadTimeModel
 from repro.models.power_model import DynamicPowerModel
+from repro.soc.leakage import LeakageParameters
 from repro.soc.specs import PlatformSpec
+
+
+@dataclass(frozen=True)
+class FittedLeakageModel:
+    """DORA's fitted leakage predictor.
+
+    Built by :func:`repro.models.leakage_fit.fit_leakage`; kept here,
+    away from that module's SciPy import, because every bundle carries
+    one.
+
+    Attributes:
+        parameters: Fitted Equation-5 constants.
+        rms_error_w: Root-mean-square residual on the calibration set.
+    """
+
+    parameters: LeakageParameters
+    rms_error_w: float
+
+    def predict(self, voltage_v: float, temperature_c: float) -> float:
+        """Predicted leakage power in watts."""
+        return self.parameters.power_w(voltage_v, temperature_c)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from repro.models.features import IndependentVariables
-from repro.models.leakage_fit import FittedLeakageModel
 from repro.models.performance_model import PiecewiseLoadTimeModel
 from repro.models.power_model import DynamicPowerModel
+from repro.models.predictor import FittedLeakageModel
 from repro.models.regression import ResponseSurface
 from repro.models.training import Observation
 

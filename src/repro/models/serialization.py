@@ -16,11 +16,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.models.leakage_fit import FittedLeakageModel
 from repro.models.performance_model import PiecewiseLoadTimeModel
 from repro.models.piecewise import PiecewiseSurface
 from repro.models.power_model import DynamicPowerModel
-from repro.models.predictor import DoraPredictor
+from repro.models.predictor import DoraPredictor, FittedLeakageModel
 from repro.models.regression import RegressionModel, ResponseSurface
 from repro.soc.leakage import LeakageParameters
 from repro.soc.specs import PlatformSpec, nexus5_spec

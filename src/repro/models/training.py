@@ -27,14 +27,10 @@ import numpy as np
 from repro.browser.pages import page_by_name
 from repro.core.governors import FixedFrequencyGovernor
 from repro.models.features import IndependentVariables
-from repro.models.leakage_fit import (
-    FittedLeakageModel,
-    calibration_samples,
-    fit_leakage,
-)
+from repro.models.leakage_fit import calibration_samples, fit_leakage
 from repro.models.performance_model import PiecewiseLoadTimeModel
 from repro.models.power_model import DynamicPowerModel
-from repro.models.predictor import DoraPredictor
+from repro.models.predictor import DoraPredictor, FittedLeakageModel
 from repro.models.regression import ResponseSurface
 from repro.sim.engine import RunResult
 from repro.sim.fleet_engine import build_engine

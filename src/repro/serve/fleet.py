@@ -114,6 +114,10 @@ class SkipCache:
     condition scalars within ``tolerance``.  The replayed response
     carries the anchor's fopt and trace (marked ``skipped=True``) under
     the new request's ticket.
+
+    A lookup and a store each resolve the device once: the session
+    fetched for the TTL check (hit) or the newer-anchor check (store)
+    is the one refreshed and written.
     """
 
     def __init__(self, registry: SessionRegistry, tolerance: float) -> None:
@@ -164,22 +168,12 @@ class SkipCache:
             # field introspection would dominate a hit.
             trace = anchor.trace
             replay = session.replay_trace = DecisionTrace(
-                candidate_index=trace.candidate_index,
-                load_time_s=trace.load_time_s,
-                power_w=trace.power_w,
-                ppw=trace.ppw,
-                effective_deadline_s=trace.effective_deadline_s,
-                feasible=trace.feasible,
-                batch_size=trace.batch_size,
-                skipped=True,
+                trace.candidate_index, trace.load_time_s, trace.power_w,
+                trace.ppw, trace.effective_deadline_s, trace.feasible,
+                trace.batch_size, True,
             )
         return DecisionResponse(
-            request_id=ticket,
-            device_id=anchor.device_id,
-            fopt_hz=anchor.fopt_hz,
-            accepted=True,
-            queue_delay_s=0.0,
-            trace=replay,
+            ticket, anchor.device_id, anchor.fopt_hz, True, 0.0, replay
         )
 
     def store(
@@ -193,35 +187,30 @@ class SkipCache:
         """
         if not response.accepted or response.trace is None:
             return
-        session = self.registry.get(request.device_id)
-        if (
-            session is not None
-            and isinstance(session.last_response, DecisionResponse)
-            and session.last_response.request_id > response.request_id
-        ):
-            return  # a newer anchor already landed
-        session = self.registry.record_decision(
-            device_id=request.device_id,
-            page=request.page,
-            corunner_mpki=request.corunner_mpki,
-            corunner_utilization=request.corunner_utilization,
-            temperature_c=request.temperature_c,
-            freq_hz=response.fopt_hz,
-            now=now,
-            deadline_s=request.deadline_s,
-            response=response,
-        )
+        device_id = request.device_id
+        session = self.registry.get(device_id)
+        if session is not None:
+            anchor = session.last_response
+            if (
+                isinstance(anchor, DecisionResponse)
+                and anchor.request_id > response.request_id
+            ):
+                return  # a newer anchor already landed
+        session = self.registry.renew(device_id, session, now)
+        session.page = request.page
+        session.corunner_mpki = request.corunner_mpki
+        session.corunner_utilization = request.corunner_utilization
+        session.temperature_c = request.temperature_c
+        session.current_freq_hz = response.fopt_hz
+        session.deadline_s = request.deadline_s
+        session.last_response = response
         session.replay_trace = None
+        session.decisions += 1
 
 
-@dataclass
-class _Buffered:
-    """One admitted request waiting in the router's micro-batch buffer."""
-
-    ticket: int
-    request: DecisionRequest
-    enqueued_s: float
-
+#: One admitted request waiting in the router's micro-batch buffer:
+#: ``(ticket, request, enqueued_s)``.
+_Buffered = tuple[int, DecisionRequest, float]
 
 #: One dispatched batch awaiting absorption: its buffered entries, one
 #: ``(fopt_hz, trace)`` answer per entry, and the model version that
@@ -298,37 +287,39 @@ class FleetDecisionService:
         """
         now = self.clock() if now is None else now
         ticket = self._next_ticket
-        self._next_ticket += 1
-        self.stats.requests_total += 1
+        self._next_ticket = ticket + 1
+        stats = self.stats
+        stats.requests_total += 1
         if not self.decision.admits(request):
-            self.stats.rejected_total += 1
+            stats.rejected_total += 1
             self.registry.record_rejection(request.device_id, now)
-            rejection = DecisionResponse(
-                request_id=ticket,
-                device_id=request.device_id,
-                fopt_hz=self.decision.fmax_hz,
-                accepted=False,
+            response = DecisionResponse(
+                ticket, request.device_id, self.decision.fmax_hz, False
             )
-            self._record_telemetry(request, rejection, now)
-            return [rejection] + self._collect(now)
-        if self.skip_cache is not None:
-            hit = self.skip_cache.lookup(ticket, request, now)
-            if hit is not None:
-                self.stats.skips_total += 1
-                self._record_telemetry(request, hit, now)
-                return [hit] + self._collect(now)
-        self._buffer.append(_Buffered(ticket, request, now))
-        if len(self._buffer) >= self.config.service.max_batch_size:
-            self.stats.flushes_on_size += 1
-            self._dispatch()
-        return self._collect(now)
+        else:
+            response = None
+            if self.skip_cache is not None:
+                response = self.skip_cache.lookup(ticket, request, now)
+            if response is None:
+                buffer = self._buffer
+                buffer.append((ticket, request, now))
+                if len(buffer) >= self.config.service.max_batch_size:
+                    stats.flushes_on_size += 1
+                    self._dispatch()
+                return self._collect(now)
+            stats.skips_total += 1
+        if self._telemetry_store is not None:
+            self._record_telemetry(request, response, now)
+        if self._decided:
+            return [response, *self._collect(now)]
+        return [response]
 
     def poll(self, now: float | None = None) -> list[DecisionResponse]:
         """Flush the buffer once its wait budget expired; answer batches."""
         now = self.clock() if now is None else now
         if (
             self._buffer
-            and now - self._buffer[0].enqueued_s >= self.config.service.max_wait_s
+            and now - self._buffer[0][2] >= self.config.service.max_wait_s
         ):
             self.stats.flushes_on_wait += 1
             self._dispatch()
@@ -392,7 +383,7 @@ class FleetDecisionService:
         self.stats.batches_total += 1
         self.stats.accepted_total += len(buffer)
         self.stats.largest_batch = max(self.stats.largest_batch, len(buffer))
-        answers = self.decision.decide([entry.request for entry in buffer])
+        answers = self.decision.decide([request for _, request, _ in buffer])
         self._decided.append((buffer, answers, self.model_version))
 
     def _collect(self, now: float) -> list[DecisionResponse]:
@@ -413,43 +404,42 @@ class FleetDecisionService:
         version: int,
         now: float,
     ) -> list[DecisionResponse]:
-        """Answer one decided batch and update sessions."""
+        """Answer one decided batch and update sessions.
+
+        Each response is anchored in the skip cache (or, without one,
+        recorded on its session) and streamed to telemetry when a store
+        is attached; an active shadow re-decides the whole batch once.
+        """
+        # A decision dispatched under an older model version must not
+        # be anchored: the skip cache would replay it for the new
+        # model's traffic.  The ticket is still answered.
+        skip_cache = self.skip_cache if version == self.model_version else None
+        record_decision = self.registry.record_decision
+        streaming = self._telemetry_store is not None
         responses: list[DecisionResponse] = []
-        shadow_requests: list[DecisionRequest] = []
-        shadow_fopts: list[float] = []
-        for entry, (fopt_hz, trace) in zip(entries, answers):
-            request = entry.request
+        for (ticket, request, enqueued_s), (fopt_hz, trace) in zip(
+            entries, answers
+        ):
             response = DecisionResponse(
-                request_id=entry.ticket,
-                device_id=request.device_id,
-                fopt_hz=fopt_hz,
-                accepted=True,
-                queue_delay_s=max(0.0, now - entry.enqueued_s),
-                trace=trace,
+                ticket, request.device_id, fopt_hz, True,
+                max(0.0, now - enqueued_s), trace,
             )
-            # A decision dispatched under an older model version must
-            # not be anchored: the skip cache would replay it for the
-            # new model's traffic.  The ticket is still answered.
-            if self.skip_cache is not None and version == self.model_version:
-                self.skip_cache.store(request, response, now)
+            if skip_cache is not None:
+                skip_cache.store(request, response, now)
             else:
-                self.registry.record_decision(
-                    device_id=request.device_id,
-                    page=request.page,
-                    corunner_mpki=request.corunner_mpki,
-                    corunner_utilization=request.corunner_utilization,
-                    temperature_c=request.temperature_c,
-                    freq_hz=response.fopt_hz,
-                    now=now,
-                    deadline_s=request.deadline_s,
+                record_decision(
+                    request.device_id, request.page, request.corunner_mpki,
+                    request.corunner_utilization, request.temperature_c,
+                    fopt_hz, now, request.deadline_s,
                 )
-            self._record_telemetry(request, response, now, version)
-            if self._shadow is not None:
-                shadow_requests.append(request)
-                shadow_fopts.append(response.fopt_hz)
+            if streaming:
+                self._record_telemetry(request, response, now, version)
             responses.append(response)
-        if self._shadow is not None and shadow_requests:
-            self._shadow.score_batch(shadow_requests, shadow_fopts)
+        if self._shadow is not None and entries:
+            self._shadow.score_batch(
+                [request for _, request, _ in entries],
+                [response.fopt_hz for response in responses],
+            )
         return responses
 
     # ------------------------------------------------------------------

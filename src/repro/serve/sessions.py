@@ -13,30 +13,24 @@ The registry is deliberately clock-injected: production uses
 so TTL behaviour is deterministic.  Clocks must be monotone (both are);
 TTL bookkeeping relies on activity timestamps never going backwards.
 
-Eviction is O(evicted), not O(active): every touch appends
-``(last_seen_s, device_id)`` to a monotone deque, and
-:meth:`SessionRegistry.evict_expired` pops only the prefix that has
-aged past the TTL, lazily discarding entries superseded by a later
-touch.  :meth:`~repro.serve.fleet.FleetDecisionService.flush`, which
-evicts after every drain, therefore costs a single deque-head
-comparison over a million live sessions when nothing expired, instead
+Eviction is O(evicted), not O(active): the store is ordered by last
+activity, least recent first -- every touch moves its session to the
+end -- so the sessions aged past the TTL are always a prefix, and
+:meth:`SessionRegistry.evict_expired` pops only that prefix.
+:meth:`~repro.serve.fleet.FleetDecisionService.flush`, which evicts
+after every drain, therefore costs a single comparison at the front of
+the store over a million live sessions when nothing expired, instead
 of a full dictionary scan.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.browser.dom import PageFeatures
-
-#: Rebuild the expiry deque once it holds this many entries per live
-#: session (plus slack): hot devices touched many times inside one TTL
-#: window would otherwise grow it without bound.
-_COMPACTION_FACTOR = 4
-_COMPACTION_SLACK = 64
 
 
 @dataclass
@@ -97,15 +91,16 @@ class SessionRegistry:
 
     ttl_s: float = 300.0
     clock: Callable[[], float] = time.monotonic
-    _sessions: dict[str, DeviceSession] = field(default_factory=dict)
-    #: Monotone (last_seen_s, device_id) activity log backing
-    #: O(evicted) TTL eviction; superseded entries are discarded
-    #: lazily as they age past the TTL.
-    _expiry: deque = field(default_factory=deque, repr=False)
+    #: Sessions in last-activity order, least recently active first:
+    #: every touch moves its session to the end, so the sessions aged
+    #: past the TTL are always a prefix.
+    _sessions: OrderedDict[str, DeviceSession] = field(
+        default_factory=OrderedDict
+    )
     #: Total sessions ever evicted (telemetry).
     evicted_total: int = field(default=0, init=False)
-    #: Activity-log entries examined by ``evict_expired`` (telemetry;
-    #: tests pin the O(evicted) bound on it).
+    #: Sessions ``evict_expired`` popped from the front of the store
+    #: (telemetry; tests pin the O(evicted) bound on it).
     expiry_scans: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -168,41 +163,51 @@ class SessionRegistry:
         return cleared
 
     def active_ids(self) -> tuple[str, ...]:
-        """Device ids with a live session, oldest-created first."""
+        """Device ids in the store, least recently active first."""
         return tuple(self._sessions)
 
     def refresh(self, session: DeviceSession, now: float) -> None:
         """Refresh an already-fetched live session's ``last_seen_s``.
 
-        The skip cache's hot path: it has the session in hand, so
-        re-resolving the device id through :meth:`touch` would pay a
-        second dictionary lookup per hit.
+        The skip cache's hit path: it has the session in hand and has
+        checked it is live, so it skips :meth:`renew`'s TTL test.
         """
         session.last_seen_s = now
-        self._note_activity(session.device_id, now)
+        self._sessions.move_to_end(session.device_id)
 
     def touch(self, device_id: str, now: float | None = None) -> DeviceSession:
-        """Fetch-or-create a session and refresh its ``last_seen_s``.
+        """Fetch-or-create a session and refresh its ``last_seen_s``."""
+        now = self.clock() if now is None else now
+        return self.renew(device_id, self._sessions.get(device_id), now)
+
+    def renew(
+        self, device_id: str, session: DeviceSession | None, now: float
+    ) -> DeviceSession:
+        """:meth:`touch` for a session the caller already fetched.
+
+        Args:
+            device_id: The device asking.
+            session: What :meth:`get` returned for it (``None`` when
+                absent).
+            now: Registry-clock time of the activity.
 
         A session silent past the TTL is dead even before the sweeper
         removes it: it is evicted here and a fresh one created, so
         nothing it held -- the skip cache's anchor above all -- comes
         back to life with the device.
         """
-        now = self.clock() if now is None else now
-        session = self._sessions.get(device_id)
-        if session is not None and now - session.last_seen_s > self.ttl_s:
-            del self._sessions[device_id]
-            self.evicted_total += 1
-            session = None
-        if session is None:
-            session = DeviceSession(
-                device_id=device_id, created_s=now, last_seen_s=now
-            )
-            self._sessions[device_id] = session
-        else:
-            session.last_seen_s = now
-        self._note_activity(device_id, now)
+        sessions = self._sessions
+        if session is not None:
+            if now - session.last_seen_s > self.ttl_s:
+                del sessions[device_id]
+                self.evicted_total += 1
+            else:
+                session.last_seen_s = now
+                sessions.move_to_end(device_id)
+                return session
+        session = sessions[device_id] = DeviceSession(
+            device_id, created_s=now, last_seen_s=now
+        )
         return session
 
     def record_decision(
@@ -250,32 +255,13 @@ class SessionRegistry:
     # ------------------------------------------------------------------
     # TTL eviction
     # ------------------------------------------------------------------
-    def _note_activity(self, device_id: str, now: float) -> None:
-        self._expiry.append((now, device_id))
-        if (
-            len(self._expiry)
-            > _COMPACTION_FACTOR * len(self._sessions) + _COMPACTION_SLACK
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the activity log with one entry per live session."""
-        self._expiry = deque(
-            sorted(
-                (session.last_seen_s, device_id)
-                for device_id, session in self._sessions.items()
-            )
-        )
-
     def evict_expired(self, now: float | None = None) -> tuple[str, ...]:
         """Drop sessions silent for longer than the TTL.
 
-        Pops the aged prefix of the activity log: entries superseded by
-        a later touch are discarded, entries that still name a
-        session's latest activity evict it.  The loop stops at the
-        first entry inside the TTL window, so the cost is proportional
-        to what actually expired (plus superseded stale entries), not
-        to the number of active sessions.
+        Pops the aged prefix of the last-activity-ordered store and
+        stops at the first session inside the TTL window, so the cost
+        is proportional to what actually expired, not to the number of
+        active sessions.
 
         Returns:
             The evicted device ids, oldest activity first (possibly
@@ -283,17 +269,14 @@ class SessionRegistry:
         """
         now = self.clock() if now is None else now
         cutoff = now - self.ttl_s
+        sessions = self._sessions
         expired: list[str] = []
-        while self._expiry:
-            seen_s, device_id = self._expiry[0]
-            if seen_s >= cutoff:
+        for device_id, session in sessions.items():
+            if session.last_seen_s >= cutoff:
                 break  # everything behind it is younger still
-            self._expiry.popleft()
-            self.expiry_scans += 1
-            session = self._sessions.get(device_id)
-            if session is None or session.last_seen_s > seen_s:
-                continue  # evicted already, or touched since
-            del self._sessions[device_id]
             expired.append(device_id)
+        for device_id in expired:
+            del sessions[device_id]
+        self.expiry_scans += len(expired)
         self.evicted_total += len(expired)
         return tuple(expired)

@@ -243,19 +243,24 @@ class TestEvictionCost:
         assert len(evicted) == 100
         assert registry.expiry_scans == 100
 
-    def test_hot_sessions_trigger_compaction(self, registry, clock):
-        from repro.serve import sessions as sessions_module
-
-        bound = (
-            sessions_module._COMPACTION_FACTOR * 2
-            + sessions_module._COMPACTION_SLACK
-        )
+    def test_the_store_is_ordered_by_last_activity(self, registry, clock):
         registry.touch("hot")
         registry.touch("cold")
         for step in range(10_000):
             clock.now = step * 1e-3
             registry.touch("hot")
-        # The activity log stays bounded by live sessions, not touches.
-        assert len(registry._expiry) <= bound + 1
+        # One entry per session, however often a device is touched.
+        assert len(registry._sessions) == 2
+        assert registry.active_ids() == ("cold", "hot")
+        # A refresh moves a session to the end as well.
+        clock.now = 10.0
+        registry.refresh(registry.get("cold"), clock.now)
+        assert registry.active_ids() == ("hot", "cold")
+        # Eviction follows last activity: "hot" (last seen at 9.999 s)
+        # ages out first, and only the popped sessions are examined.
+        clock.now = 20.0
+        assert registry.evict_expired() == ("hot",)
+        assert registry.expiry_scans == 1
         clock.now = 100.0
-        assert set(registry.evict_expired()) == {"hot", "cold"}
+        assert registry.evict_expired() == ("cold",)
+        assert registry.expiry_scans == 2 == registry.evicted_total
