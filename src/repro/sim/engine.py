@@ -31,9 +31,10 @@ Two execution strategies share these semantics:
   boundary, a pending switch stall, the safety timeout -- the
   cache/bus/CPI equilibrium and therefore every per-step quantity
   except the thermal/leakage feedback is constant.  It plans the number
-  of dt steps to the next event, evaluates progress, counters, and
-  energy for the whole regime as resumed cumulative sums, and runs the
-  thermal recurrence with per-step constants hoisted.  The step that
+  of dt steps to the next event, evaluates progress and counters for
+  the whole regime as resumed cumulative sums, and runs the thermal
+  recurrence with per-step constants hoisted, resuming the energy and
+  temperature-integral totals in the same loop.  The step that
   crosses a phase boundary joins the regime when it is exact: the
   regime calls ``Task.advance`` for it, and when every task retires
   exactly its budget and none finishes, that step accumulates exactly
@@ -258,10 +259,6 @@ class RunResult:
         if power <= 0:
             return 0.0
         return 1.0 / (self.load_time_s * power)
-
-    def meets_deadline(self, deadline_s: float) -> bool:
-        """Whether the load finished within a QoS target."""
-        return self.load_time_s is not None and self.load_time_s <= deadline_s
 
     def summary_for(self, task_id: str) -> TaskSummary:
         """Summary of one task (KeyError if the id is unknown)."""
@@ -838,23 +835,17 @@ class Engine:
                 steps = n + 1
                 last = series[:, steps].tolist()
 
-        leak_w, total_w, temp_c = device.thermal.integrate_regime(
-            steps=steps,
-            dt_s=dt,
-            non_leakage_soc_w=template.non_leakage_w,
-            rest_of_device_w=template.rest_of_device_w,
-            leak_power_of_c=template.leak_power_of_c,
-            per_core_power_w=template.per_core_power,
+        thermal_series = ([], [], []) if record else None
+        loop.energy_j, loop.temperature_integral = (
+            device.thermal.integrate_regime(
+                steps, dt, template.non_leakage_w, template.rest_of_device_w,
+                template.leak_power_of_c, loop.energy_j,
+                loop.temperature_integral, template.per_core_power,
+                thermal_series,
+            )
         )
-        energy_j = loop.energy_j
-        temperature_integral = loop.temperature_integral
-        for power, temperature in zip(total_w, temp_c):
-            energy_j += power * dt
-            temperature_integral += temperature * dt
-        loop.energy_j = energy_j
-        loop.temperature_integral = temperature_integral
 
-        windows: dict[int, object] = {}
+        windows: dict[int, CoreCounters] = {}
         for position, task in enumerate(running):
             row = 3 + 10 * position
             summary = loop.summaries[task.task_id]
@@ -863,16 +854,14 @@ class Engine:
             summary.l2_misses = last[row + 4]
             summary.busy_s = last[row + 5]
             windows[task.core] = CoreCounters(
-                busy_s=last[row + 6],
-                instructions=last[row + 7],
-                l2_accesses=last[row + 8],
-                l2_misses=last[row + 9],
+                last[row + 6], last[row + 7], last[row + 8], last[row + 9]
             )
         counters.install_window(last[2], windows)
         loop.time_s = last[0]
         loop.window_s = last[1]
 
-        if record:
+        if thermal_series is not None:
+            leak_w, total_w, temp_c = thermal_series
             loop.trace.record_block(
                 times_s=series[0, 1 : steps + 1],
                 freq_hz=state.freq_hz,

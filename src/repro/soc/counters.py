@@ -11,11 +11,15 @@ an immutable :class:`CounterSample`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CoreCounters:
-    """Raw event counts for one core over a sampling window."""
+class CoreCounters(NamedTuple):
+    """Raw event counts for one core over a sampling window.
+
+    An immutable tuple: the engine builds one per running task per
+    regime, and one shared zero window stands for every untouched core.
+    """
 
     busy_s: float = 0.0
     instructions: float = 0.0
@@ -25,10 +29,10 @@ class CoreCounters:
     def merged(self, other: "CoreCounters") -> "CoreCounters":
         """Element-wise sum of two windows."""
         return CoreCounters(
-            busy_s=self.busy_s + other.busy_s,
-            instructions=self.instructions + other.instructions,
-            l2_accesses=self.l2_accesses + other.l2_accesses,
-            l2_misses=self.l2_misses + other.l2_misses,
+            self.busy_s + other.busy_s,
+            self.instructions + other.instructions,
+            self.l2_accesses + other.l2_accesses,
+            self.l2_misses + other.l2_misses,
         )
 
     def mpki(self) -> float:
@@ -38,9 +42,8 @@ class CoreCounters:
         return self.l2_misses / (self.instructions / 1000.0)
 
 
-@dataclass(frozen=True)
-class CounterSample:
-    """One drained sampling window, as a governor sees it.
+class CounterSample(NamedTuple):
+    """One drained sampling window, as a governor sees it (immutable).
 
     Attributes:
         window_s: Length of the window in seconds.
@@ -99,9 +102,9 @@ class CounterSample:
         return sum(self.utilization(core) for core in cores) / len(cores)
 
 
-#: Shared all-zero window (frozen, so one instance can seed every
-#: first-touch merge in :meth:`CounterBank.add` and stand for every
-#: untouched window :meth:`CounterBank.window` returns).
+#: Shared all-zero window (an immutable tuple, so one instance can seed
+#: every first-touch merge in :meth:`CounterBank.add` and stand for
+#: every untouched window :meth:`CounterBank.window` returns).
 _ZERO_COUNTERS = CoreCounters()
 
 
@@ -130,10 +133,10 @@ class CounterBank:
         if current is None:
             current = _ZERO_COUNTERS
         self._windows[core] = CoreCounters(
-            busy_s=current.busy_s + busy_s,
-            instructions=current.instructions + instructions,
-            l2_accesses=current.l2_accesses + l2_accesses,
-            l2_misses=current.l2_misses + l2_misses,
+            current.busy_s + busy_s,
+            current.instructions + instructions,
+            current.l2_accesses + l2_accesses,
+            current.l2_misses + l2_misses,
         )
 
     def advance(self, dt_s: float) -> None:
@@ -167,18 +170,6 @@ class CounterBank:
         self._elapsed_s = elapsed_s
         self._windows.update(per_core)
 
-    def reset_windows(self) -> None:
-        """Close the current window without materializing a sample.
-
-        Exactly :meth:`drain`'s state transition, minus the
-        :class:`CounterSample`.  For decision points whose sample is
-        provably unobservable (a fixed-frequency governor ignores it,
-        and the decision log records only time and target), this is all
-        a drain does to future behaviour.
-        """
-        self._windows = {}
-        self._elapsed_s = 0.0
-
     def drain(
         self,
         freq_hz: float,
@@ -187,11 +178,11 @@ class CounterBank:
     ) -> CounterSample:
         """Close the current window and return it as a sample."""
         sample = CounterSample(
-            window_s=self._elapsed_s,
-            per_core=dict(self._windows),
-            freq_hz=freq_hz,
-            soc_temperature_c=soc_temperature_c,
-            core_temperatures_c=dict(core_temperatures_c),
+            self._elapsed_s,
+            dict(self._windows),
+            freq_hz,
+            soc_temperature_c,
+            dict(core_temperatures_c),
         )
         self._windows = {}
         self._elapsed_s = 0.0

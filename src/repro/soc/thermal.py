@@ -18,6 +18,8 @@ constant.  Per-core sensors see the shared SoC temperature plus a small
 contribution from their own power, mirroring the per-core thermal
 sensors on the MSM8974.
 """
+# repro: bit-exact -- the engine's regime integrator sums energy and the
+# temperature integral here (R003 forbids BLAS/pairwise reductions).
 
 from __future__ import annotations
 
@@ -123,17 +125,23 @@ class ThermalModel:
         non_leakage_soc_w: float,
         rest_of_device_w: float,
         leak_power_of_c: Callable[[float], float],
+        energy_j: float,
+        temperature_integral: float,
         per_core_power_w: dict[int, float] | None = None,
-    ) -> tuple[list[float], list[float], list[float]]:
+        series: tuple[list[float], list[float], list[float]] | None = None,
+    ) -> tuple[float, float]:
         """Advance ``steps`` steps of constant non-leakage power.
 
         The engine fast path calls this once per regime: between events
         every power component except leakage is constant, so only the
-        temperature/leakage feedback needs per-dt resolution.  The
-        recurrence below runs in exactly the per-step order of
+        temperature/leakage feedback needs per-dt resolution.  One loop
+        runs the recurrence in exactly the per-step order of
         :meth:`step` (leakage at the pre-step temperature, then the
         exponential update), making the trajectory bit-identical to
-        ``steps`` individual ``step()`` calls.
+        ``steps`` individual ``step()`` calls, and resumes the run's
+        running totals in the engine's per-step order: energy gains
+        ``(soc + rest-of-device) * dt`` and the temperature integral
+        the post-step temperature times ``dt``.
 
         Args:
             steps: Number of dt steps in the regime.
@@ -142,13 +150,17 @@ class ThermalModel:
             rest_of_device_w: Constant rest-of-device floor.
             leak_power_of_c: ``temperature_c -> leakage watts`` (see
                 :meth:`~repro.soc.leakage.LeakageParameters.bound_evaluator`).
+            energy_j: The run's energy before the regime.
+            temperature_integral: The run's ``sum(T * dt)`` before it.
             per_core_power_w: Per-core power for the sensor readings,
                 installed at the end of the regime (constant within it).
+            series: ``(leakage_w, total_w, temperature_c)`` lists to
+                extend by one value per step, for a run that records a
+                trace; powers are pre-step values (what a breakdown at
+                the start of each step reports), temperatures post-step.
 
         Returns:
-            ``(leakage_w, total_w, temperature_c)`` lists of length
-            ``steps``; powers are pre-step values (what a breakdown at
-            the start of each step reports), temperatures post-step.
+            ``(energy_j, temperature_integral)`` advanced by the regime.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
@@ -156,21 +168,22 @@ class ThermalModel:
         ambient_c = self.ambient_c
         r_th = self.r_th_c_per_w
         temperature_c = self.soc_temperature_c
-        leak_w: list[float] = []
-        total_w: list[float] = []
-        temp_c: list[float] = []
         for _ in range(steps):
             leak = leak_power_of_c(temperature_c)
             soc_w = non_leakage_soc_w + leak
-            leak_w.append(leak)
-            total_w.append(soc_w + rest_of_device_w)
+            total_w = soc_w + rest_of_device_w
+            energy_j += total_w * dt_s
             target_c = ambient_c + soc_w * r_th
             temperature_c = target_c + (temperature_c - target_c) * decay
-            temp_c.append(temperature_c)
+            temperature_integral += temperature_c * dt_s
+            if series is not None:
+                series[0].append(leak)
+                series[1].append(total_w)
+                series[2].append(temperature_c)
         self.soc_temperature_c = temperature_c
         if per_core_power_w is not None:
             self._core_power_w = dict(per_core_power_w)
-        return leak_w, total_w, temp_c
+        return energy_j, temperature_integral
 
     def steady_state_c(self, total_power_w: float) -> float:
         """Temperature the package converges to at constant power."""

@@ -72,6 +72,17 @@ class TestCounterBank:
         with pytest.raises(ValueError):
             CounterBank().advance(-0.01)
 
+    def test_every_bank_shares_one_zero_window(self):
+        """Untouched cores of every bank read one shared instance, so it
+        must stay all zero whatever a run accumulates."""
+        first, second = CounterBank(), CounterBank()
+        zero = first.window(0)
+        assert second.window(3) is zero
+        first.add(0, 0.01, 1e6, 1e4, 1e3)
+        first.install_window(0.02, {1: CoreCounters(1.0, 2.0, 3.0, 4.0)})
+        assert second.window(0) is zero
+        assert zero == CoreCounters(0.0, 0.0, 0.0, 0.0)
+
 
 class TestCounterSample:
     def _sample(self):
@@ -114,6 +125,16 @@ class TestCounterSample:
         assert sample.max_utilization() == 0.0
         assert sample.mpki(0) == 0.0
 
+    def test_refuses_attribute_assignment(self):
+        sample = self._sample()
+        with pytest.raises(AttributeError):
+            sample.window_s = 1.0
+        with pytest.raises(AttributeError):
+            sample.per_core = {}
+        with pytest.raises(AttributeError):
+            sample.extra = 1.0
+        assert sample.window_s == 0.1
+
 
 class TestCoreCounters:
     def test_merge_adds_fields(self):
@@ -123,6 +144,14 @@ class TestCoreCounters:
 
     def test_mpki_with_no_instructions_is_zero(self):
         assert CoreCounters().mpki() == 0.0
+
+    def test_refuses_attribute_assignment(self):
+        counters = CoreCounters(1.0, 2.0, 3.0, 4.0)
+        for name in ("busy_s", "instructions", "l2_accesses", "l2_misses",
+                     "extra"):
+            with pytest.raises(AttributeError):
+                setattr(counters, name, 0.0)
+        assert counters == CoreCounters(1.0, 2.0, 3.0, 4.0)
 
 
 class TestDeviceFacade:

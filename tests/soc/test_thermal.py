@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.soc.leakage import nexus5_leakage_parameters
+from repro.soc.power import PowerBreakdown
 from repro.soc.thermal import (
     AmbientScenario,
     ThermalModel,
@@ -84,6 +86,93 @@ class TestStepIntegration:
         result = model.step(power, dt)
         low, high = sorted((start, target))
         assert low - 1e-9 <= result <= high + 1e-9
+
+
+def _hex(values):
+    return [float.hex(value) for value in values]
+
+
+class TestIntegrateRegime:
+    """``integrate_regime`` against the per-step computations it fuses.
+
+    The oracle is the engine's reference step: a breakdown with leakage
+    at the pre-step temperature, one :meth:`ThermalModel.step` on its
+    SoC power, then ``energy += total_w * dt`` and
+    ``integral += T * dt`` at the post-step temperature.
+    """
+
+    @staticmethod
+    def _reference(start_c, steps, dt, dynamic_w, memory_w, rest_w,
+                   voltage_v, energy_j, integral):
+        leakage = nexus5_leakage_parameters()
+        model = ThermalModel(soc_temperature_c=start_c)
+        leak_w, total_w, temp_c = [], [], []
+        for _ in range(steps):
+            breakdown = PowerBreakdown(
+                core_dynamic_w=dynamic_w,
+                memory_w=memory_w,
+                leakage_w=leakage.power_w(voltage_v, model.soc_temperature_c),
+                rest_of_device_w=rest_w,
+            )
+            model.step(breakdown.soc_w, dt)
+            energy_j += breakdown.total_w * dt
+            integral += model.soc_temperature_c * dt
+            leak_w.append(breakdown.leakage_w)
+            total_w.append(breakdown.total_w)
+            temp_c.append(model.soc_temperature_c)
+        return energy_j, integral, model.soc_temperature_c, (leak_w, total_w, temp_c)
+
+    @given(
+        start_c=st.floats(20.0, 90.0),
+        steps=st.integers(0, 60),
+        dt=st.sampled_from([0.0005, 0.001, 0.002, 0.005]),
+        dynamic_w=st.floats(0.0, 4.0),
+        memory_w=st.floats(0.0, 1.0),
+        rest_w=st.floats(0.0, 2.0),
+        voltage_v=st.floats(0.7, 1.1),
+        energy_j=st.floats(0.0, 50.0),
+        integral=st.floats(0.0, 3000.0),
+    )
+    def test_matches_per_step_reference_bit_for_bit(
+        self, start_c, steps, dt, dynamic_w, memory_w, rest_w, voltage_v,
+        energy_j, integral,
+    ):
+        want_energy, want_integral, want_c, want_series = self._reference(
+            start_c, steps, dt, dynamic_w, memory_w, rest_w, voltage_v,
+            energy_j, integral,
+        )
+        for series in (None, ([], [], [])):
+            model = ThermalModel(soc_temperature_c=start_c)
+            got_energy, got_integral = model.integrate_regime(
+                steps, dt, dynamic_w + memory_w, rest_w,
+                nexus5_leakage_parameters().bound_evaluator(voltage_v),
+                energy_j, integral, series=series,
+            )
+            assert _hex([got_energy, got_integral, model.soc_temperature_c]) == (
+                _hex([want_energy, want_integral, want_c])
+            )
+            if series is not None:
+                assert [_hex(column) for column in series] == (
+                    [_hex(column) for column in want_series]
+                )
+
+    def test_zero_steps_return_the_totals_unchanged(self):
+        model = ThermalModel(soc_temperature_c=61.5)
+        series = ([], [], [])
+        totals = model.integrate_regime(
+            0, 0.002, 1.5, 0.8,
+            nexus5_leakage_parameters().bound_evaluator(0.9),
+            12.375, 456.25, series=series,
+        )
+        assert _hex(totals) == _hex([12.375, 456.25])
+        assert model.soc_temperature_c == 61.5
+        assert series == ([], [], [])
+
+    def test_negative_dt_rejected(self):
+        with pytest.raises(ValueError):
+            ThermalModel().integrate_regime(
+                1, -0.002, 1.0, 0.5, lambda _c: 0.1, 0.0, 0.0
+            )
 
 
 class TestCoreSensors:
