@@ -237,17 +237,6 @@ class CallGraph:
         node = self.functions.get(qualname)
         return list(node.calls) if node is not None else []
 
-    def functions_in(self, module_path: str) -> list[FunctionNode]:
-        """All functions defined in one module, sorted by qualname."""
-        return sorted(
-            (
-                node
-                for node in self.functions.values()
-                if node.module_path == module_path
-            ),
-            key=lambda node: node.qualname,
-        )
-
     def to_record(self) -> dict:
         """JSON-serializable dump (``repro lint --graph``)."""
         edges = []

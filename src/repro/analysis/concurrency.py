@@ -1,4 +1,4 @@
-"""Concurrency-safety rules (R101..R105) for the multi-process layers.
+"""Concurrency-safety rules (R101, R102, R104, R105).
 
 The runtime pool (:mod:`repro.runtime.pool`) forks worker processes,
 pickles jobs to them and retries jobs after a crash; the telemetry
@@ -13,15 +13,11 @@ R101      No fork-unsafe state at module level in code that may run
 R102      Registry/telemetry publishes are atomic: write a
           same-directory ``*.tmp`` sibling, then ``os.replace`` /
           ``os.rename`` it into place (append-only streams excepted)
-R103      A pipe protocol's verb sets are enumerated once and every
-          dispatch site handles every verb (a verb added to the set
-          but not to every handler hangs or errors at runtime).  No
-          module in the package enumerates verbs today -- the serving
-          router runs in-process -- so the rule's fixtures are what
-          exercise it
 R104      Payloads sent to worker processes are picklable by shape:
           no lambdas or function-local defs/classes in dispatch
-          arguments
+          arguments.  The runtime pool's ``executor.submit`` is the
+          one such call that reaches a process; the decision router's
+          ``submit`` runs in-process and is held to the same shape
 R105      No shared-mutable default arguments in the serving,
           learning, or runtime layers (a mutated default leaks
           state across requests and across retried jobs)
@@ -31,13 +27,11 @@ R105      No shared-mutable default arguments in the serving,
 from __future__ import annotations
 
 import ast
-import re
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     ModuleUnderAnalysis,
-    ProjectRule,
     Rule,
     _path_in,
 )
@@ -309,184 +303,12 @@ def _mentions_tmp(expr: ast.expr) -> bool:
     return False
 
 
-# ----------------------------------------------------------------------
-# R103 -- pipe-protocol verb exhaustiveness
-# ----------------------------------------------------------------------
-class PipeProtocolRule(ProjectRule):
-    """Every enumerated pipe verb is handled at every dispatch site.
-
-    A pipe protocol's verbs are enumerated once, in module-level
-    ``*_VERBS`` frozensets.  A *dispatch site* is a function comparing
-    one subject expression against two or more of a set's verbs
-    (``verb == "decide"`` chains or ``match`` arms); the rule requires
-    each bound site to compare against the complete set, and flags
-    comparisons against strings outside it (typos).  Adding a verb to
-    the set without teaching every handler about it fails statically
-    instead of hanging a pipe at runtime.
-    """
-
-    rule_id = "R103"
-    title = "pipe-protocol dispatch must handle every enumerated verb"
-    rationale = (
-        "a verb that one handler of the protocol does not know "
-        "stalls or errors its pipe at runtime"
-    )
-
-    _set_name = re.compile(r".*_VERBS$")
-
-    def check_project(
-        self, modules: Sequence[ModuleUnderAnalysis], graph
-    ) -> list[Finding]:
-        verb_sets = self._verb_sets(modules)
-        if not verb_sets:
-            return []
-        findings: list[Finding] = []
-        for module in sorted(modules, key=lambda m: m.path):
-            findings.extend(self._check_module(module, verb_sets))
-        return findings
-
-    def _verb_sets(
-        self, modules: Sequence[ModuleUnderAnalysis]
-    ) -> dict[str, frozenset[str]]:
-        """Module-level ``NAME_VERBS = frozenset({...})`` enumerations."""
-        sets: dict[str, frozenset[str]] = {}
-        for module in sorted(modules, key=lambda m: m.path):
-            for stmt in module.tree.body:
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    if not (
-                        isinstance(target, ast.Name)
-                        and self._set_name.match(target.id)
-                    ):
-                        continue
-                    verbs = _string_elements(stmt.value)
-                    if verbs:
-                        sets[target.id] = frozenset(verbs)
-        return sets
-
-    def _check_module(
-        self,
-        module: ModuleUnderAnalysis,
-        verb_sets: dict[str, frozenset[str]],
-    ) -> list[Finding]:
-        findings: list[Finding] = []
-        for func in _functions_of(module.tree):
-            # Group string equality comparisons by their subject
-            # expression, so `verb == ...` chains bind together and
-            # unrelated string comparisons in the same function don't.
-            subjects: dict[str, list[tuple[str, ast.AST]]] = {}
-            for sub in ast.walk(func):
-                for subject, literal, node in _string_comparisons(sub):
-                    subjects.setdefault(subject, []).append((literal, node))
-            for subject in sorted(subjects):
-                compared = subjects[subject]
-                literals = {literal for literal, _node in compared}
-                name, verbs = self._bind(literals, verb_sets)
-                if name is None:
-                    continue
-                missing = sorted(verbs - literals)
-                if missing:
-                    findings.append(
-                        self.finding(
-                            module,
-                            func,
-                            f"dispatch over {name} in {func.name}() does "
-                            f"not handle {', '.join(repr(v) for v in missing)}; "
-                            "every enumerated verb needs an arm at every "
-                            "match site (worker loop and collect path)",
-                        )
-                    )
-                for literal, node in sorted(
-                    compared, key=lambda item: (item[0], item[1].lineno)
-                ):
-                    if literal not in verbs:
-                        findings.append(
-                            self.finding(
-                                module,
-                                node,
-                                f"{literal!r} compared at a {name} dispatch "
-                                f"site but absent from {name}; add it to "
-                                "the enumeration or fix the typo",
-                            )
-                        )
-        return findings
-
-    def _bind(
-        self,
-        literals: set[str],
-        verb_sets: dict[str, frozenset[str]],
-    ) -> tuple[str | None, frozenset[str]]:
-        """The verb set a comparison group belongs to, if any.
-
-        A group binds to the set it overlaps most (two-verb minimum,
-        ties resolved by name for determinism).
-        """
-        best: tuple[int, str] | None = None
-        for name in sorted(verb_sets):
-            overlap = len(literals & verb_sets[name])
-            if overlap >= 2 and (best is None or overlap > best[0]):
-                best = (overlap, name)
-        if best is None:
-            return None, frozenset()
-        return best[1], verb_sets[best[1]]
-
-
-def _string_elements(expr: ast.expr) -> list[str]:
-    """String constants of a set/frozenset/tuple/list literal."""
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        if expr.func.id in ("frozenset", "set", "tuple") and expr.args:
-            return _string_elements(expr.args[0])
-        return []
-    if isinstance(expr, (ast.Set, ast.Tuple, ast.List)):
-        elements = []
-        for element in expr.elts:
-            if isinstance(element, ast.Constant) and isinstance(
-                element.value, str
-            ):
-                elements.append(element.value)
-            else:
-                return []  # mixed content: not a verb enumeration
-        return elements
-    return []
-
-
 def _functions_of(
     tree: ast.Module,
 ) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _string_comparisons(
-    node: ast.AST,
-) -> Iterator[tuple[str, str, ast.AST]]:
-    """``(subject-dump, literal, node)`` for string equality tests.
-
-    Covers ``subject == "literal"`` comparisons and ``match subject``
-    / ``case "literal"`` arms.
-    """
-    if isinstance(node, ast.Compare) and len(node.ops) == 1:
-        if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            left, right = node.left, node.comparators[0]
-            if isinstance(right, ast.Constant) and isinstance(
-                right.value, str
-            ):
-                yield ast.dump(left), right.value, node
-            elif isinstance(left, ast.Constant) and isinstance(
-                left.value, str
-            ):
-                yield ast.dump(right), left.value, node
-    elif isinstance(node, ast.Match):
-        subject = ast.dump(node.subject)
-        for case in node.cases:
-            pattern = case.pattern
-            if isinstance(pattern, ast.MatchValue) and isinstance(
-                pattern.value, ast.Constant
-            ):
-                if isinstance(pattern.value.value, str):
-                    yield subject, pattern.value.value, pattern
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +483,6 @@ class MutableDefaultRule(Rule):
 CONCURRENCY_RULES: tuple[Rule, ...] = (
     ForkUnsafeStateRule(),
     NonAtomicPublishRule(),
-    PipeProtocolRule(),
     UnpicklablePayloadRule(),
     MutableDefaultRule(),
 )

@@ -57,7 +57,8 @@ class FleetConfig:
             MPKI, utilization and temperature for a request to replay
             the session's cached response.  ``0.0`` (default) requires
             exact equality and is lossless; larger values trade
-            decision freshness for evaluation work.
+            decision freshness for evaluation work (``inf`` replays
+            any drift).  NaN is refused.
     """
 
     workers: int = 1
@@ -68,7 +69,7 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.workers != 1:
             raise ValueError("the router runs in-process: workers must be 1")
-        if self.skip_tolerance < 0:
+        if not self.skip_tolerance >= 0:
             raise ValueError("skip tolerance must be non-negative")
 
 
@@ -164,8 +165,9 @@ class SkipCache:
         replay = session.replay_trace
         if replay is None:
             # Built at the anchor's first hit and shared by the later
-            # ones; direct construction, not dataclasses.replace, whose
-            # field introspection would dominate a hit.
+            # ones; direct construction, not ``_replace``, which builds
+            # its tuple from an iterator and so leaves one spare 8-tuple
+            # on CPython's tuple free list per call (up to 2,000 held).
             trace = anchor.trace
             replay = session.replay_trace = DecisionTrace(
                 trace.candidate_index, trace.load_time_s, trace.power_w,
@@ -182,8 +184,10 @@ class SkipCache:
         """Anchor an evaluated response for the device's next requests.
 
         The anchor is the response the caller received, not a copy:
-        responses are frozen, and :meth:`lookup` builds the replays'
-        ``skipped=True`` trace from it only if the anchor is hit.
+        responses and traces are immutable named tuples, so no caller
+        holding one can change what later hits replay, and
+        :meth:`lookup` builds the replays' ``skipped=True`` trace from
+        it only if the anchor is hit.
         """
         if not response.accepted or response.trace is None:
             return

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class DecisionRequest:
             raise ValueError("temperature must be finite")
 
 
-@dataclass(frozen=True)
-class DecisionTrace:
+class DecisionTrace(NamedTuple):
     """The winning prediction row behind one served decision.
 
     Attributes:
@@ -104,8 +104,7 @@ class DecisionTrace:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
-class DecisionResponse:
+class DecisionResponse(NamedTuple):
     """The service's answer to one :class:`DecisionRequest`.
 
     Attributes:
@@ -132,14 +131,20 @@ class ServiceConfig:
 
     Attributes:
         max_batch_size: Flush as soon as this many requests are
-            pending.
+            pending (an integer of at least 1).
         max_wait_s: Flush once the oldest pending request has waited
-            this long (``poll`` enforces it).
+            this long (``poll`` enforces it; ``inf`` never flushes on
+            wait).
         include_leakage: ``False`` serves the ``DORA_no_lkg`` ablation.
         qos_margin: Same safety margin as
             :class:`repro.core.dora.DoraGovernor` -- candidates must
             fit ``deadline * (1 - qos_margin)``.
-        session_ttl_s: Silence after which a device session is evicted.
+        session_ttl_s: Silence after which a device session is evicted
+            (``inf`` never evicts).
+
+    Raises:
+        ValueError: If a field lies outside its range.  Each check asks
+            for the valid range, so NaN fails every one of them.
     """
 
     max_batch_size: int = 64
@@ -149,12 +154,14 @@ class ServiceConfig:
     session_ttl_s: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait_s < 0:
+        if not (isinstance(self.max_batch_size, int) and self.max_batch_size >= 1):
+            raise ValueError("max_batch_size must be an integer of at least 1")
+        if not self.max_wait_s >= 0:
             raise ValueError("max_wait_s must be non-negative")
         if not 0.0 <= self.qos_margin < 1.0:
             raise ValueError("qos_margin must lie in [0, 1)")
+        if not self.session_ttl_s > 0:
+            raise ValueError("session_ttl_s must be positive")
 
 
 class DecisionPass:

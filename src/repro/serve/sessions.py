@@ -53,7 +53,9 @@ class DeviceSession:
             (fleet front-end; always 0 on a plain service).
         last_response: The skip cache's anchor: the evaluated
             ``DecisionResponse`` this device was last served, itself
-            (its trace keeps ``skipped=False``).  While the session's
+            (its trace keeps ``skipped=False``).  Responses and traces
+            are immutable named tuples, so sharing the object with the
+            caller that received it is safe.  While the session's
             feature/condition vector is unchanged, each replay copies
             its fopt and trace row under the new ticket, with
             ``skipped=True``.  ``None`` when no cache is attached.
@@ -85,7 +87,8 @@ class SessionRegistry:
     """Device-session store with TTL eviction.
 
     Attributes:
-        ttl_s: Seconds of silence after which a session is evicted.
+        ttl_s: Seconds of silence after which a session is evicted
+            (positive; ``inf`` never evicts, NaN is refused).
         clock: Zero-argument monotonic-seconds source.
     """
 
@@ -104,7 +107,7 @@ class SessionRegistry:
     expiry_scans: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.ttl_s <= 0:
+        if not self.ttl_s > 0:
             raise ValueError("session TTL must be positive")
 
     def __len__(self) -> int:

@@ -79,11 +79,3 @@ class GovernorDecisionLog:
         """Append one decision."""
         self.times_s.append(time_s)
         self.frequencies_hz.append(freq_hz)
-
-    def changes(self) -> int:
-        """Number of decisions that changed the frequency."""
-        changes = 0
-        for previous, current in zip(self.frequencies_hz, self.frequencies_hz[1:]):
-            if previous != current:
-                changes += 1
-        return changes

@@ -43,7 +43,7 @@ def test_lint_json_format(capsys):
     assert record["baselined"] == []
     # Per-rule wall-clock cost is reported for every active rule, plus
     # the call-graph build the project rules share.
-    assert set(record["timings_s"]) >= {"R001", "R103", "callgraph"}
+    assert set(record["timings_s"]) >= {"R001", "R104", "callgraph"}
 
 
 def test_lint_writes_report_artifact(tmp_path, capsys):
@@ -110,7 +110,6 @@ def test_lint_unknown_rule_is_usage_error(capsys):
         ("r006", "core/mutator.py"),
         ("r101", "serve/state.py"),
         ("r102", "learn/registry.py"),
-        ("r103", "serve/proto.py"),
         ("r104", "serve/dispatchers.py"),
         ("r105", "runtime/queueing.py"),
     ],

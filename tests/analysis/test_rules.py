@@ -22,7 +22,6 @@ EXPECTED = {
     "R006": ("r006", "core/mutator.py"),
     "R101": ("r101", "serve/state.py"),
     "R102": ("r102", "learn/registry.py"),
-    "R103": ("r103", "serve/proto.py"),
     "R104": ("r104", "serve/dispatchers.py"),
     "R105": ("r105", "runtime/queueing.py"),
 }

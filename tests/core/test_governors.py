@@ -12,7 +12,7 @@ from repro.core.governors import (
     powersave_governor,
 )
 from repro.core.ppw import FrequencyPrediction
-from repro.sim.governor import GovernorDecisionLog, RunContext
+from repro.sim.governor import RunContext
 from repro.soc.counters import CoreCounters, CounterSample
 
 
@@ -189,14 +189,3 @@ class TestEnergyEfficientGovernor:
         governor.initial_frequency(_context(spec))
         assert stub.calls[-1][0] == 0.0  # MPKI
         assert stub.calls[-1][1] == 0.0  # utilization
-
-
-class TestDecisionLog:
-    def test_changes_counts_transitions(self):
-        log = GovernorDecisionLog()
-        for t, f in ((0.1, 1e9), (0.2, 1e9), (0.3, 2e9), (0.4, 1e9)):
-            log.record(t, f)
-        assert log.changes() == 2
-
-    def test_empty_log(self):
-        assert GovernorDecisionLog().changes() == 0

@@ -14,7 +14,7 @@ from repro.learn.telemetry import (
     TelemetryWriter,
     decision_record,
 )
-from repro.serve.service import DecisionRequest, DecisionResponse
+from repro.serve.service import DecisionRequest, DecisionResponse, DecisionTrace
 
 
 def _record(device="phone-0", mpki=2.0, accepted=True):
@@ -55,6 +55,64 @@ class TestDecisionRecord:
         assert record["model_version"] == 3
         assert record["skipped"] is False
         assert record["simulated_load_time_s"] is None
+
+    def test_records_of_each_response_kind_are_pinned(self):
+        """An evaluated answer, its skip-cache replay and a rejection
+        each give the record below, key order included."""
+        request = DecisionRequest(
+            device_id="phone-7",
+            page=page_by_name("amazon").features,
+            corunner_mpki=3.25,
+            corunner_utilization=0.75,
+            temperature_c=51.5,
+            deadline_s=2.5,
+        )
+        row = dict(
+            candidate_index=2, load_time_s=1.25, power_w=2.5, ppw=0.32,
+            effective_deadline_s=2.5, feasible=True, batch_size=3,
+        )
+        evaluated = DecisionResponse(
+            request_id=42, device_id="phone-7", fopt_hz=1.728e9,
+            accepted=True, queue_delay_s=0.004, trace=DecisionTrace(**row),
+        )
+        replayed = DecisionResponse(
+            request_id=43, device_id="phone-7", fopt_hz=1.728e9,
+            accepted=True, trace=DecisionTrace(**row, skipped=True),
+        )
+        rejected = DecisionResponse(
+            request_id=44, device_id="phone-7", fopt_hz=2.2656e9,
+            accepted=False,
+        )
+        inputs = {
+            "page": list(request.page.as_tuple()),
+            "corunner_mpki": 3.25,
+            "corunner_utilization": 0.75,
+            "temperature_c": 51.5,
+            "deadline_s": 2.5,
+        }
+        outcome = {"simulated_load_time_s": None, "simulated_energy_j": None}
+        for response, skipped, fopt_hz, predicted in (
+            (evaluated, False, 1.728e9, (1.25, 2.5)),
+            (replayed, True, 1.728e9, (1.25, 2.5)),
+            (rejected, False, 2.2656e9, (None, None)),
+        ):
+            record = decision_record(request, response, now_s=1.5, model_version=3)
+            expected = {
+                "device_id": "phone-7",
+                "ticket": response.request_id,
+                "now_s": 1.5,
+                **inputs,
+                "accepted": response.accepted,
+                "skipped": skipped,
+                "fopt_hz": fopt_hz,
+                "predicted_load_time_s": predicted[0],
+                "predicted_power_w": predicted[1],
+                "model_version": 3,
+                **outcome,
+            }
+            assert record == expected
+            assert list(record) == list(expected)
+            assert json.dumps(record) == json.dumps(expected)
 
     def test_schema_tag_is_versioned(self):
         assert TELEMETRY_SCHEMA.endswith("/1")

@@ -1,7 +1,7 @@
 """Fleet router: single-service equivalence, skip cache, lifecycle."""
 
+import math
 import multiprocessing
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -67,6 +67,61 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="non-negative"):
             FleetConfig(skip_tolerance=-0.1)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -math.inf])
+    def test_nan_and_negative_infinite_tolerance_are_refused(self, tolerance):
+        # A NaN tolerance would turn the skip cache off without an
+        # error; ``--skip-tolerance`` reaches it from the CLI.
+        with pytest.raises(ValueError, match="non-negative"):
+            FleetConfig(skip_tolerance=tolerance)
+
+    def test_infinite_tolerance_replays_any_drift(self, small_predictor):
+        with _small_fleet(small_predictor, skip_tolerance=math.inf) as fleet:
+            [first] = fleet.decide([_request(mpki=2.0)], now=0.0)
+            [hit] = fleet.decide([_request(mpki=40.0, temp=90.0)], now=1.0)
+            assert hit.trace.skipped and hit.fopt_hz == first.fopt_hz
+
+
+class TestValueTypes:
+    """Responses and traces are immutable: the skip cache anchors the
+    response a caller received and shares one replay trace across hits."""
+
+    def test_every_field_refuses_assignment(self):
+        trace = DecisionTrace(0, 1.0, 2.0, 0.5, 3.0, True, 2)
+        response = DecisionResponse(7, "phone-0", 1.0e9, True, 0.0, trace)
+        for value, names in (
+            (trace, ("candidate_index", "load_time_s", "power_w", "ppw",
+                     "effective_deadline_s", "feasible", "batch_size",
+                     "skipped")),
+            (response, ("request_id", "device_id", "fopt_hz", "accepted",
+                        "queue_delay_s", "trace")),
+        ):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                value.extra = 1  # no per-instance attributes either
+
+    def test_a_held_response_cannot_change_later_replays(
+        self, small_predictor
+    ):
+        with _small_fleet(small_predictor) as fleet:
+            [first] = fleet.decide([_request()], now=0.0)
+            [hit] = fleet.decide([_request()], now=1.0)
+            for held, name, value in (
+                (first, "fopt_hz", 0.0),
+                (first, "trace", None),
+                (first.trace, "ppw", 0.0),
+                (hit.trace, "skipped", False),
+                (hit.trace, "load_time_s", 0.0),
+            ):
+                with pytest.raises(AttributeError):
+                    setattr(held, name, value)
+            [later] = fleet.decide([_request()], now=2.0)
+            assert later.fopt_hz == first.fopt_hz
+            assert later.trace is hit.trace
+            assert later.trace == first.trace._replace(skipped=True)
+            assert fleet.registry.get("phone-0").last_response is first
+
 
 class TestEquivalence:
     """ISSUE 5's core contract: same bits as the single service."""
@@ -116,7 +171,7 @@ class TestSkipCache:
             [hit] = fleet.decide([_request()], now=1.0)
             assert not first.trace.skipped
             assert hit.trace.skipped
-            assert hit.trace == replace(first.trace, skipped=True)
+            assert hit.trace == first.trace._replace(skipped=True)
             assert hit.device_id == first.device_id
             assert hit.fopt_hz == first.fopt_hz
             assert hit.request_id == 1  # the new ticket, not the anchor's
@@ -189,7 +244,7 @@ class TestSkipCache:
             for step in (1.0, 2.0):
                 hits = fleet.decide(requests, now=step)
                 for hit, anchor in zip(hits, evaluated, strict=True):
-                    assert hit.trace == replace(anchor.trace, skipped=True)
+                    assert hit.trace == anchor.trace._replace(skipped=True)
                     assert hit.fopt_hz == anchor.fopt_hz
                     assert hit.device_id == anchor.device_id
                     assert hit.accepted and hit.queue_delay_s == 0.0
@@ -205,8 +260,8 @@ class TestSkipCache:
             [new] = fleet.decide([_request(mpki=9.0)], now=2.0)
             [new_hit] = fleet.decide([_request(mpki=9.0)], now=3.0)
             assert not new.trace.skipped
-            assert old_hit.trace == replace(old.trace, skipped=True)
-            assert new_hit.trace == replace(new.trace, skipped=True)
+            assert old_hit.trace == old.trace._replace(skipped=True)
+            assert new_hit.trace == new.trace._replace(skipped=True)
             assert new.trace != old.trace
 
     def test_a_pre_swap_batch_is_never_anchored(self, small_predictor):

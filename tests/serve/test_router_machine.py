@@ -172,7 +172,7 @@ class RouterMachine(RuleBasedStateMachine):
                     "a hit on an expired anchor"
                 )
                 assert anchor[0] == index
-                assert response.trace == replace(anchor[1], skipped=True)
+                assert response.trace == anchor[1]._replace(skipped=True)
                 assert response.fopt_hz == anchor[2]
                 self.counts["skips"] += 1
                 self.last_seen[device] = self.now

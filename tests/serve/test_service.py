@@ -183,6 +183,42 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_wait_s"):
             ServiceConfig(max_wait_s=-0.001)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_batch_size", math.nan),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", 64.0),
+            ("max_wait_s", math.nan),
+            ("max_wait_s", -math.inf),
+            ("session_ttl_s", math.nan),
+            ("session_ttl_s", 0.0),
+            ("session_ttl_s", -1.0),
+        ],
+    )
+    def test_out_of_range_fields_are_refused(self, field, value):
+        # NaN compares false with everything, so a check that tests for
+        # the invalid range lets it through; ``--batch-size`` and
+        # ``--max-wait-ms`` reach the first two fields from the CLI.
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_infinite_wait_and_ttl_mean_never(self, small_predictor, clock):
+        service = DecisionService(
+            small_predictor,
+            config=ServiceConfig(
+                max_batch_size=4, max_wait_s=math.inf, session_ttl_s=math.inf
+            ),
+            clock=clock,
+        )
+        service.submit(_request())
+        clock.now = 1e9
+        assert service.poll() == []  # the wait budget never expires
+        assert service.stats.flushes_on_wait == 0
+        [response] = service.flush()
+        assert response.accepted
+        assert "phone-0" in service.registry  # nor does the session
+
 
 class TestSessions:
     def test_decisions_update_the_registry(self, service, clock):

@@ -1,5 +1,7 @@
 """Device-session registry: touch, decision recording, TTL eviction."""
 
+import math
+
 import pytest
 
 from repro.browser.pages import page_by_name
@@ -22,6 +24,23 @@ def clock():
 @pytest.fixture
 def registry(clock):
     return SessionRegistry(ttl_s=10.0, clock=clock)
+
+
+class TestTtlValidation:
+    @pytest.mark.parametrize("ttl_s", [math.nan, 0.0, -1.0, -math.inf])
+    def test_a_ttl_outside_the_positive_range_is_refused(self, ttl_s):
+        # A NaN TTL would make ``live`` keep every session while
+        # ``evict_expired`` dropped them all.
+        with pytest.raises(ValueError, match="TTL must be positive"):
+            SessionRegistry(ttl_s=ttl_s)
+
+    def test_an_infinite_ttl_never_expires(self, clock):
+        registry = SessionRegistry(ttl_s=math.inf, clock=clock)
+        registry.touch("a")
+        clock.now = 1e12
+        assert registry.live("a") is not None
+        assert registry.evict_expired() == ()
+        assert "a" in registry
 
 
 class TestLifecycle:
