@@ -164,16 +164,8 @@ class SkipCache:
         anchor: DecisionResponse = session.last_response  # type: ignore[assignment]
         replay = session.replay_trace
         if replay is None:
-            # Built at the anchor's first hit and shared by the later
-            # ones; direct construction, not ``_replace``, which builds
-            # its tuple from an iterator and so leaves one spare 8-tuple
-            # on CPython's tuple free list per call (up to 2,000 held).
-            trace = anchor.trace
-            replay = session.replay_trace = DecisionTrace(
-                trace.candidate_index, trace.load_time_s, trace.power_w,
-                trace.ppw, trace.effective_deadline_s, trace.feasible,
-                trace.batch_size, True,
-            )
+            # Built at the anchor's first hit and shared by the later ones.
+            replay = session.replay_trace = anchor.trace._replace(skipped=True)
         return DecisionResponse(
             ticket, anchor.device_id, anchor.fopt_hz, True, 0.0, replay
         )
